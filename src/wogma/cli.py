@@ -9,6 +9,7 @@ neither a flag nor the config file sets one.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -194,16 +195,15 @@ def cmd_eval(args) -> int:
         handle.write("fraction,auc\n")
         for fraction, auc in report.early_curve:
             handle.write(f"{fraction!r},{auc!r}\n")
-    with open(out_dir / "timelines.csv", "w") as handle:
+    with open(out_dir / "timelines.csv", "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         classes = model.config.n_c
         headers = ["video_id", "clip", "start_frame", "end_frame", "prob_background"]
-        headers += [f"prob_class_{c}" for c in range(1, classes + 1)]
-        handle.write(",".join(headers) + "\n")
+        writer.writerow(headers + [f"prob_class_{c}" for c in range(1, classes + 1)])
         for r in results:
             for i, row in enumerate(r.timeline, start=1):
                 start, end = model.windowing.frame_interval(i)
-                handle.write(f"{r.video_id},{i},{start},{end},"
-                             + ",".join(repr(float(v)) for v in row) + "\n")
+                writer.writerow([r.video_id, i, start, end] + [repr(float(v)) for v in row])
     print(report.to_json())
     return 0
 
@@ -217,22 +217,27 @@ def cmd_detect(args) -> int:
     if args.stdin:
         state = model.online_branch.initial_state()
         rows = []
-        while True:
-            line = sys.stdin.readline()
-            if not line:
-                break
+        for lineno, line in enumerate(iter(sys.stdin.readline, ""), start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataFormatError(
+                    f"bad clip line {lineno}: expected a JSON object, got {type(obj).__name__}")
+            try:
                 clip = np.asarray(obj["frames"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise DataFormatError(f"bad clip line: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
             expected = (model.config.tau, model.skeleton.joint_count,
                         model.config.input_channels)
             if clip.shape != expected:
                 raise DataFormatError(
-                    f"clip shape {clip.shape} does not match {expected}")
+                    f"clip line {lineno}: shape {clip.shape} does not match {expected}")
+            if not np.isfinite(clip).all():
+                raise DataFormatError(f"clip line {lineno}: frames hold a non-finite value")
             feats = model.features(clip[None])
             state, probs = model.online_branch.online_step(state, feats.values[0])
             rows.append(probs)
@@ -269,14 +274,12 @@ def cmd_detect(args) -> int:
 
 def _read_timelines_csv(path):
     rows = {}
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    action_col = header.index("prob_class_1")
-    for line in lines[1:]:
-        parts = line.split(",")
-        video = parts[0]
-        rows.setdefault(video, []).append(
-            (int(parts[2]), int(parts[3]), float(parts[action_col])))
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        action_col = next(reader).index("prob_class_1")
+        for parts in reader:
+            rows.setdefault(parts[0], []).append(
+                (int(parts[2]), int(parts[3]), float(parts[action_col])))
     return rows
 
 

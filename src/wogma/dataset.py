@@ -110,6 +110,8 @@ def load_sequences(path, joint_count: int = JOINT_COUNT) -> list[SkeletonSequenc
         if frames.shape[1] != joint_count:
             raise DataFormatError(
                 f"{path}:{lineno}: expected {joint_count} joints, got {frames.shape[1]}")
+        if not np.isfinite(frames).all():
+            raise DataFormatError(f"{path}:{lineno}: frames hold a non-finite value")
         conf = frames[:, :, 2]
         if conf.min() < 0.0 or conf.max() > 1.0:
             raise DataFormatError(f"{path}:{lineno}: confidences must lie in [0, 1]")

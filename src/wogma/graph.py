@@ -1,9 +1,14 @@
-"""Skeleton graph construction and multi-scale spatio-temporal adjacency.
+"""Skeleton graph construction and the multi-scale adjacency of the LFEM.
 
 A spatial joint graph is disentangled into one 0/1 matrix per exact graph
-distance, each scale is tiled across the frames of a clip window, and the
-tiled matrices are symmetrically degree-normalised. The normalised matrices
-are what the graph convolution consumes.
+distance (MS-G3D's multi-scale scheme). The graph convolution is defined on
+a clip window: each scale is tiled across the window's tau frames
+(`tile_window`) and symmetrically degree-normalised (`normalize`). Every
+frame block of that normalised tiled matrix equals the normalised N x N
+scale matrix with self-connections divided by tau, so applying it to a
+window equals applying the N x N matrix to the window's per-joint mean pose.
+`build_multiscale` therefore returns the N x N matrices, and those are what
+the convolution consumes.
 """
 
 from __future__ import annotations
@@ -121,25 +126,8 @@ def normalize(matrix: np.ndarray) -> np.ndarray:
     return matrix * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-@dataclass(frozen=True)
-class MultiScaleAdjacency:
-    """Normalised adjacency per scale, in tiled and spatial form.
-
-    `tiled[m]` is the (tau*N, tau*N) normalised block matrix the convolution
-    contract is written against. `spatial[m]` is the N x N normalised form of
-    scale m with self-connections; because every frame block of the tiled
-    matrix is identical, applying tiled[m] to a window equals applying
-    spatial[m] / tau to the window's frame-sum (used as a fast path).
-    """
-
-    scales: int
-    tau: int
-    tiled: tuple[np.ndarray, ...]
-    spatial: tuple[np.ndarray, ...]
-
-
-def build_multiscale(graph: SkeletonGraph, scales: int, tau: int) -> MultiScaleAdjacency:
-    mats = disentangle_multiscale(graph.adjacency, scales)
-    tiled = tuple(normalize(tile_window(m, tau)) for m in mats)
-    spatial = tuple(normalize(np.minimum(m + np.eye(graph.joint_count), 1.0)) for m in mats)
-    return MultiScaleAdjacency(scales=scales, tau=tau, tiled=tiled, spatial=spatial)
+def build_multiscale(graph: SkeletonGraph, scales: int) -> tuple[np.ndarray, ...]:
+    """Normalised N x N matrix of each scale 0..scales, with self-connections."""
+    eye = np.eye(graph.joint_count)
+    return tuple(normalize(np.minimum(m + eye, 1.0))
+                 for m in disentangle_multiscale(graph.adjacency, scales))

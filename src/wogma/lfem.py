@@ -1,5 +1,13 @@
 """Local feature extraction: clip windowing, multi-scale graph convolution
-over spatio-temporal windows, window-time collapse, and joint aggregation.
+of each clip, time collapse, and joint aggregation.
+
+The convolution is defined on a clip window through the tiled, normalised
+multi-scale matrices of `graph.tile_window`. Every frame block of those
+matrices is the same N x N matrix divided by tau, so a layer maps a window
+to identical frames that are a graph convolution of the window's per-joint
+mean pose. That spatial form is what runs: the mean pose is taken once, the
+layers convolve it with the N x N matrices of `graph.build_multiscale`, and
+the learned per-frame time collapse reduces to its frame-summed kernel.
 
 Every clip runs through the same parameters, so features are local: row i of
 the output depends only on the frames of clip i.
@@ -14,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter
 from .errors import ConfigurationError
-from .graph import MultiScaleAdjacency
 
 
 @dataclass(frozen=True)
@@ -47,45 +54,23 @@ def split_clips(frames: np.ndarray, tau: int, stride: int) -> np.ndarray:
     return clips
 
 
-def g3d_conv(clip: DTensor, msadj: MultiScaleAdjacency, thetas: list[Parameter]) -> DTensor:
-    """Multi-scale graph convolution on one (tau*N, C_in) window.
-
-    out = relu( sum_m  norm_tiled_m @ clip @ theta_m ). There is no bias, so
-    zero input maps to zero output.
-    """
-    if len(thetas) != len(msadj.tiled):
-        raise ConfigurationError(
-            f"{len(thetas)} weight matrices for {len(msadj.tiled)} scales")
-    total = None
-    for mat, theta in zip(msadj.tiled, thetas):
-        term = ad.linear(ad.graph_apply(mat, clip), theta)
-        total = term if total is None else ad.add(total, term)
-    return ad.relu(total)
-
-
-def collapse_time(window: DTensor, weight: Parameter, tau: int, joints: int) -> DTensor:
-    """Collapse a (tau*N, C) window to (N, D) with learned per-frame weights."""
-    c = window.values.shape[-1]
-    unrolled = ad.reshape(window, (1, tau, joints, c))
-    return ad.reshape(ad.collapse_window(unrolled, weight), (joints, weight.values.shape[2]))
-
-
 class LocalFeatureExtractor:
     """Per-clip feature pipeline shared by both downstream branches.
 
     The default path runs the multi-scale graph convolution (optionally
-    stacked), collapses the window's time axis per joint, then aggregates all
-    joints with an affine map + relu into one feature vector per clip.
+    stacked) on each clip's mean pose, collapses time per joint, then
+    aggregates all joints with an affine map + relu into one feature vector
+    per clip. `adjacency` holds the normalised N x N matrix of each scale.
     With `ablate_local` the whole pipeline is replaced by a single affine
     projection of the flattened raw clip.
     """
 
-    def __init__(self, msadj: MultiScaleAdjacency, joints: int, in_channels: int,
-                 gcn_channels: int, gcn_layers: int, feature_dim: int,
+    def __init__(self, adjacency: tuple[np.ndarray, ...], tau: int, joints: int,
+                 in_channels: int, gcn_channels: int, gcn_layers: int, feature_dim: int,
                  ablate_local: bool, rng: np.random.Generator):
-        self.msadj = msadj
+        self.adjacency = adjacency
         self.joints = joints
-        self.tau = msadj.tau
+        self.tau = tau
         self.in_channels = in_channels
         self.feature_dim = feature_dim
         self.ablate_local = ablate_local
@@ -101,7 +86,7 @@ class LocalFeatureExtractor:
         width = in_channels
         for layer in range(gcn_layers):
             layer_thetas = []
-            for m in range(len(msadj.tiled)):
+            for m in range(len(adjacency)):
                 p = ad.init_uniform(rng, (width, gcn_channels), width,
                                     f"lfem.g3d{layer}.theta{m}")
                 layer_thetas.append(self._add(p))
@@ -121,54 +106,30 @@ class LocalFeatureExtractor:
 
     def aggregate_joints(self, per_joint: DTensor) -> DTensor:
         """(L, N, D) -> (L, C_f): affine over all joints' channels, then relu."""
-        vals = per_joint.values
-        if vals.ndim == 3:
-            per_joint = ad.reshape(per_joint, (vals.shape[0], vals.shape[1] * vals.shape[2]))
+        count, joints, channels = per_joint.values.shape
+        per_joint = ad.reshape(per_joint, (count, joints * channels))
         return ad.relu(ad.affine(per_joint, self.params["lfem.agg_w"], self.params["lfem.agg_b"]))
 
     def extract(self, clips: np.ndarray) -> DTensor:
         """Feature matrix (L, C_f) for clips shaped (L, tau, N, C).
 
-        Uses the structure of the tiled adjacency: every frame block of the
-        normalised tiled matrix is identical, so applying it to a window
-        equals applying the normalised spatial matrix to the window's frame
-        sum divided by tau. `extract_dense` is the literal tiled-matrix path;
-        both compute the same map.
+        The tiled window matrices define the convolution; by their block
+        identity (see the module docstring) each layer is computed on the
+        per-joint mean pose with the N x N matrices, and the (C, tau, D) time
+        collapse is applied as its frame-summed (C, D) kernel.
         """
         count = clips.shape[0]
         if self.ablate_local:
             flat = DTensor(clips.reshape(count, -1))
             return ad.affine(flat, self.params["lfem.proj_w"], self.params["lfem.proj_b"])
 
-        x = DTensor(clips)                              # (L, tau, N, C)
-        for layer, layer_thetas in enumerate(self.thetas):
-            if layer == 0:
-                summed = ad.scale(ad.reduce_sum(x, axis=1), 1.0 / self.tau)  # (L, N, C)
-            else:
-                # frames are already identical after the first layer
-                summed = x
+        x = ad.scale(ad.reduce_sum(DTensor(clips), axis=1), 1.0 / self.tau)  # (L, N, C)
+        for layer_thetas in self.thetas:
             total = None
-            for mat, theta in zip(self.msadj.spatial, layer_thetas):
-                term = ad.linear(ad.graph_apply(mat, summed), theta)
+            for mat, theta in zip(self.adjacency, layer_thetas):
+                term = ad.linear(ad.graph_apply(mat, x), theta)
                 total = term if total is None else ad.add(total, term)
-            x = ad.relu(total)                          # (L, N, D), equal for all frames
-        # all frames of the window are identical post-conv, so the time
-        # collapse reduces to the frame-summed kernel
+            x = ad.relu(total)                          # (L, N, D)
         w_sum = ad.reduce_sum(self.params["lfem.collapse"], axis=1)       # (C, D)
         collapsed = ad.linear(x, w_sum)                 # (L, N, D)
         return self.aggregate_joints(collapsed)
-
-    def extract_dense(self, clips: np.ndarray) -> DTensor:
-        """Literal clip-at-a-time path through the tiled matrices."""
-        count = clips.shape[0]
-        if self.ablate_local:
-            return self.extract(clips)
-        rows = []
-        for i in range(count):
-            window = DTensor(clips[i].reshape(self.tau * self.joints, -1))
-            for layer_thetas in self.thetas:
-                window = g3d_conv(window, self.msadj, layer_thetas)
-            per_joint = collapse_time(window, self.params["lfem.collapse"],
-                                      self.tau, self.joints)
-            rows.append(ad.reshape(per_joint, (self.joints * per_joint.values.shape[1],)))
-        return self.aggregate_joints(ad.stack_rows(rows))

@@ -25,10 +25,10 @@ class ActionDetector:
         self.config = config
         self.skeleton = skeleton if skeleton is not None else default_skeleton()
         self.windowing = ClipWindowing(tau=config.tau, stride=config.stride)
-        self.msadj = build_multiscale(self.skeleton, scales=config.scales, tau=config.tau)
         rng = np.random.default_rng(config.seed)
         self.extractor = LocalFeatureExtractor(
-            self.msadj, joints=self.skeleton.joint_count,
+            build_multiscale(self.skeleton, scales=config.scales), tau=config.tau,
+            joints=self.skeleton.joint_count,
             in_channels=config.input_channels, gcn_channels=config.gcn_channels,
             gcn_layers=config.gcn_layers, feature_dim=config.feature_dim,
             ablate_local=config.ablate_local, rng=rng)

@@ -9,6 +9,7 @@ seed gives a bitwise-reproducible trajectory in single-threaded mode.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,21 +216,29 @@ def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
+    """Write to a temporary file beside `path`, then rename it into place, so
+    `path` holds either its old contents or the whole new checkpoint."""
     config_blob = json.dumps(train_config_to_dict(model.config),
                              sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<I", len(config_blob)))
-        handle.write(config_blob)
-        handle.write(struct.pack("<I", epoch))
-        handle.write(struct.pack("<Q", model.config.seed))
-        handle.write(struct.pack("<I", len(model.params)))
-        for name, param in model.params.items():
-            _write_record(handle, name, param.values)
-            _write_record(handle, name + ".adam_m", param.adam_m)
-            _write_record(handle, name + ".adam_v", param.adam_v)
-            handle.write(struct.pack("<Q", param.step_count))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC)
+            handle.write(struct.pack("<I", CHECKPOINT_VERSION))
+            handle.write(struct.pack("<I", len(config_blob)))
+            handle.write(config_blob)
+            handle.write(struct.pack("<I", epoch))
+            handle.write(struct.pack("<Q", model.config.seed))
+            handle.write(struct.pack("<I", len(model.params)))
+            for name, param in model.params.items():
+                _write_record(handle, name, param.values)
+                _write_record(handle, name + ".adam_m", param.adam_m)
+                _write_record(handle, name + ".adam_v", param.adam_v)
+                handle.write(struct.pack("<Q", param.step_count))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[ActionDetector, int]:
@@ -258,6 +267,9 @@ def load_checkpoint(path) -> tuple[ActionDetector, int]:
             raise DataFormatError(f"{path}: malformed optimiser records for {name!r}")
         step = reader.u64()
         records.append((name, values, adam_m, adam_v, step))
+    trailing = len(reader.data) - reader.offset
+    if trailing:
+        raise DataFormatError(f"{path}: {trailing} unexpected bytes after the last record")
 
     model = ActionDetector(config)
     if {r[0] for r in records} != set(model.params):

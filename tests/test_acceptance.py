@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The synthetic-learning
 criterion trains the full desk-scale model (about 5-10 minutes); everything
 else is fast. Session fixtures share the trained model between criteria.
+Criteria 6-8 carry the `slow` marker: `-m "not slow"` skips their training.
 """
 
 import dataclasses
@@ -316,6 +317,7 @@ def trained_full(synthetic_data):
     return model, metrics, report, results, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_learning(trained_full):
     model, metrics, report, _, elapsed = trained_full
     ok = (report.auc >= 0.95 and report.accuracy >= 0.90
@@ -330,6 +332,7 @@ def test_criterion_6_synthetic_learning(trained_full):
     assert elapsed <= 15 * 60
 
 
+@pytest.mark.slow
 def test_criterion_7_early_observation(trained_full):
     model, _, report, results, _ = trained_full
     curve = dict(report.early_curve)
@@ -347,6 +350,7 @@ def test_criterion_7_early_observation(trained_full):
     assert curve[1.0] == full_auc
 
 
+@pytest.mark.slow
 def test_criterion_8_ablation_wiring(synthetic_data):
     train_set, test_set = synthetic_data
     subset = train_set[:ABLATION_VIDEOS]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -184,3 +186,68 @@ def test_plot_missing_inputs_warn_but_succeed(tmp_path, capsys):
     assert run_cli(["plot", "--report", tmp_path / "missing.json",
                     "--out-dir", tmp_path]) == 0
     assert "warning" in capsys.readouterr().err
+
+
+def stdin_clip_line(config, rng, **overrides):
+    obj = {"frames": rng.standard_normal((config.tau, 18, 3)).tolist(), **overrides}
+    return json.dumps(obj) + "\n"
+
+
+def run_detect_stdin(tmp_path, monkeypatch, lines):
+    config = TrainConfig(**FAST_CONFIG)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(config), epoch=0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(lines)))
+    return run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
+                    "--out-dir", tmp_path])
+
+
+@pytest.mark.parametrize("bad_line", ["[1, 2]\n", "5\n", '"frames"\n'],
+                         ids=["list", "number", "string"])
+def test_detect_stdin_non_object_line_exits_two(tmp_path, monkeypatch, capsys, bad_line):
+    good = stdin_clip_line(TrainConfig(**FAST_CONFIG), np.random.default_rng(0))
+    assert run_detect_stdin(tmp_path, monkeypatch, [good, bad_line]) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(l)["clip"] for l in out.splitlines()] == [1]
+    assert "data error: bad clip line 2" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_detect_stdin_non_finite_clip_exits_two(tmp_path, monkeypatch, capsys, value):
+    config = TrainConfig(**FAST_CONFIG)
+    rng = np.random.default_rng(0)
+    frames = rng.standard_normal((config.tau, 18, 3))
+    frames[5, 3, 0] = value
+    lines = [stdin_clip_line(config, rng), json.dumps({"frames": frames.tolist()}) + "\n"]
+    assert run_detect_stdin(tmp_path, monkeypatch, lines) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(l)["clip"] for l in out.splitlines()] == [1]
+    assert "data error: clip line 2: frames hold a non-finite value" in err
+
+
+def test_timelines_csv_quotes_video_id_through_eval_and_plot(tmp_path, capsys):
+    video_id = 'infant "A", visit 2'
+    seqs = synthesize(SynthParams(n_videos=2, frames=120, seed=2,
+                                  segment_len_min=40, segment_len_max=60))
+    seqs[0].video_id = video_id
+    data = tmp_path / "d.jsonl"
+    save_sequences(data, seqs)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", tmp_path / "run", "--fractions", "0.5,1.0"]) == 0
+
+    timelines = tmp_path / "run" / "timelines.csv"
+    with open(timelines, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert len({len(row) for row in rows}) == 1
+    assert [row[0] for row in rows[1:]] == [video_id] * 6 + [seqs[1].video_id] * 6
+    assert rows[1][:4] == [video_id, "1", "1", "20"]
+    capsys.readouterr()
+
+    assert run_cli(["plot", "--timelines", timelines, "--data", data,
+                    "--out-dir", tmp_path / "plots"]) == 0
+    svg = tmp_path / "plots" / f"timeline_{video_id}.svg"
+    root = ET.fromstring(svg.read_text())
+    title = root.find("{http://www.w3.org/2000/svg}text").text
+    assert title == f"online detection: {video_id}"

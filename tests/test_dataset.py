@@ -67,6 +67,17 @@ def test_confidence_out_of_range_rejected(tmp_path):
         ds.load_sequences(path)
 
 
+@pytest.mark.parametrize("channel, value", [(2, np.nan), (0, np.nan), (1, np.inf)],
+                         ids=["nan-confidence", "nan-coordinate", "inf-coordinate"])
+def test_non_finite_value_rejected_naming_line(tmp_path, channel, value):
+    bad = tiny_sequence()
+    bad.frames[3, 4, channel] = value
+    path = tmp_path / "d.jsonl"
+    ds.save_sequences(path, [tiny_sequence(), bad])
+    with pytest.raises(DataFormatError, match=":2: frames hold a non-finite value"):
+        ds.load_sequences(path)
+
+
 def test_preprocess_truncates_long_sequences():
     seq = tiny_sequence(frames=70)
     out = ds.preprocess(seq, max_frames=60)

@@ -5,6 +5,7 @@ import pytest
 
 from wogma import graph as gr
 from wogma.errors import DataFormatError
+from tiled_oracle import tiled_multiscale
 
 
 def bfs_distances(adjacency):
@@ -161,21 +162,23 @@ def test_normalized_spectral_radius_at_most_one():
 
 def test_multiscale_bundle_shapes():
     g = gr.default_skeleton()
-    ms = gr.build_multiscale(g, scales=3, tau=4)
-    assert len(ms.tiled) == 4 and len(ms.spatial) == 4
-    assert ms.tiled[0].shape == (72, 72)
-    assert ms.spatial[0].shape == (18, 18)
+    spatial = gr.build_multiscale(g, scales=3)
+    tiled = tiled_multiscale(g, scales=3, tau=4)
+    assert len(tiled) == 4 and len(spatial) == 4
+    assert tiled[0].shape == (72, 72)
+    assert spatial[0].shape == (18, 18)
 
 
 def test_tiled_equals_spatial_fast_path():
     # applying the tiled matrix to a window equals spatial/tau on the frame sum
     g = gr.build_spatial_graph([(1, 2), (2, 3), (3, 4)], 4)
     tau = 5
-    ms = gr.build_multiscale(g, scales=2, tau=tau)
+    spatial = gr.build_multiscale(g, scales=2)
+    tiled = tiled_multiscale(g, scales=2, tau=tau)
     rng = np.random.default_rng(5)
     window = rng.standard_normal((tau * 4, 3))
     for m in range(3):
-        dense = ms.tiled[m] @ window
+        dense = tiled[m] @ window
         frames = window.reshape(tau, 4, 3).sum(axis=0)
-        fast = ms.spatial[m] @ frames / tau
+        fast = spatial[m] @ frames / tau
         np.testing.assert_allclose(dense, np.tile(fast, (tau, 1)), atol=1e-12)

@@ -6,6 +6,7 @@ from wogma import graph as gr
 from wogma import lfem
 from wogma.autodiff import DTensor, Parameter
 from wogma.errors import ConfigurationError
+from tiled_oracle import collapse_time, extract_dense, g3d_conv, tiled_multiscale
 
 
 def path_graph(n=3):
@@ -14,12 +15,17 @@ def path_graph(n=3):
 
 def make_extractor(tau=4, scales=2, joints=3, in_channels=2, gcn_channels=4,
                    feature_dim=6, gcn_layers=1, ablate_local=False, seed=0):
-    msadj = gr.build_multiscale(path_graph(joints), scales=scales, tau=tau)
+    adjacency = gr.build_multiscale(path_graph(joints), scales=scales)
     rng = np.random.default_rng(seed)
-    return lfem.LocalFeatureExtractor(msadj, joints=joints, in_channels=in_channels,
-                                      gcn_channels=gcn_channels, gcn_layers=gcn_layers,
-                                      feature_dim=feature_dim, ablate_local=ablate_local,
-                                      rng=rng)
+    return lfem.LocalFeatureExtractor(adjacency, tau=tau, joints=joints,
+                                      in_channels=in_channels, gcn_channels=gcn_channels,
+                                      gcn_layers=gcn_layers, feature_dim=feature_dim,
+                                      ablate_local=ablate_local, rng=rng)
+
+
+def tiled_of(ex):
+    """The tiled window matrices behind `make_extractor`'s extractor."""
+    return tiled_multiscale(path_graph(ex.joints), len(ex.adjacency) - 1, ex.tau)
 
 
 def test_clip_count_paper_defaults():
@@ -52,17 +58,17 @@ def test_frame_interval():
 
 def test_g3d_identity_graph_identity_weights():
     single = gr.SkeletonGraph(joint_count=1, edges=(), adjacency=np.zeros((1, 1)))
-    msadj = gr.build_multiscale(single, scales=0, tau=1)
+    tiled = tiled_multiscale(single, scales=0, tau=1)
     theta = Parameter(np.eye(2), name="t")
     clip = DTensor(np.array([[0.7, -0.3]]))
-    out = lfem.g3d_conv(clip, msadj, [theta])
+    out = g3d_conv(clip, tiled, [theta])
     np.testing.assert_allclose(out.values, [[0.7, 0.0]])
 
 
 def test_g3d_zero_input_zero_output():
     ex = make_extractor()
     clip = DTensor(np.zeros((ex.tau * ex.joints, ex.in_channels)))
-    out = lfem.g3d_conv(clip, ex.msadj, ex.thetas[0])
+    out = g3d_conv(clip, tiled_of(ex), ex.thetas[0])
     np.testing.assert_array_equal(out.values, 0.0)
 
 
@@ -70,7 +76,7 @@ def test_g3d_scale_count_mismatch():
     ex = make_extractor(scales=2)
     clip = DTensor(np.zeros((ex.tau * ex.joints, ex.in_channels)))
     with pytest.raises(ConfigurationError):
-        lfem.g3d_conv(clip, ex.msadj, ex.thetas[0][:2])
+        g3d_conv(clip, tiled_of(ex), ex.thetas[0][:2])
 
 
 def test_g3d_respects_graph_automorphism():
@@ -80,9 +86,9 @@ def test_g3d_respects_graph_automorphism():
     rng = np.random.default_rng(3)
     clip = rng.standard_normal((ex.tau, 3, 2))
     swapped = clip[:, [2, 1, 0], :]
-    out = lfem.g3d_conv(DTensor(clip.reshape(-1, 2)), ex.msadj, ex.thetas[0]).values
-    out_swapped = lfem.g3d_conv(DTensor(swapped.reshape(-1, 2)), ex.msadj,
-                                ex.thetas[0]).values
+    tiled = tiled_of(ex)
+    out = g3d_conv(DTensor(clip.reshape(-1, 2)), tiled, ex.thetas[0]).values
+    out_swapped = g3d_conv(DTensor(swapped.reshape(-1, 2)), tiled, ex.thetas[0]).values
     out3 = out.reshape(ex.tau, 3, -1)
     out3_swapped = out_swapped.reshape(ex.tau, 3, -1)
     np.testing.assert_allclose(out3_swapped, out3[:, [2, 1, 0], :], atol=1e-12)
@@ -95,8 +101,8 @@ def test_collapse_time_uniform_average():
     weight = np.zeros((ch, tau, ch))
     for c in range(ch):
         weight[c, :, c] = 1.0 / tau
-    out = lfem.collapse_time(DTensor(window.reshape(tau * joints, ch)),
-                             Parameter(weight, "w"), tau, joints)
+    out = collapse_time(DTensor(window.reshape(tau * joints, ch)),
+                        Parameter(weight, "w"), tau, joints)
     np.testing.assert_allclose(out.values, window.mean(axis=0))
 
 
@@ -106,13 +112,13 @@ def test_collapse_time_tau1_identity():
     window = rng.standard_normal((joints, ch))
     weight = np.zeros((ch, 1, ch))
     weight[0, 0, 0] = weight[1, 0, 1] = 1.0
-    out = lfem.collapse_time(DTensor(window), Parameter(weight, "w"), 1, joints)
+    out = collapse_time(DTensor(window), Parameter(weight, "w"), 1, joints)
     np.testing.assert_allclose(out.values, window)
 
 
 def test_collapse_time_gradient():
     def fn(window, weight):
-        return lfem.collapse_time(window, weight, 3, 2)
+        return collapse_time(window, weight, 3, 2)
     rng = np.random.default_rng(6)
     window = rng.standard_normal((6, 4))
     weight = rng.standard_normal((4, 3, 4))
@@ -173,7 +179,7 @@ def test_extract_matches_dense_tiled_path(layers):
     rng = np.random.default_rng(11)
     clips = rng.standard_normal((4, ex.tau, ex.joints, 2))
     fast = ex.extract(clips).values
-    dense = ex.extract_dense(clips).values
+    dense = extract_dense(ex, tiled_of(ex), clips).values
     np.testing.assert_allclose(fast, dense, rtol=1e-10, atol=1e-12)
 
 

@@ -162,6 +162,32 @@ def test_checkpoint_truncated_file_errors(tmp_path, small_training_config):
         tr.load_checkpoint(path)
 
 
+def test_checkpoint_trailing_byte_errors(tmp_path, small_training_config):
+    model = ActionDetector(small_training_config)
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, model, epoch=0)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DataFormatError, match="1 unexpected bytes after the last record"):
+        tr.load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_old_file(tmp_path, small_training_config,
+                                               monkeypatch):
+    model = ActionDetector(small_training_config)
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, model, epoch=0)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tr, "_write_record", fail)
+    with pytest.raises(OSError, match="disk full"):
+        tr.save_checkpoint(path, model, epoch=1)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
 def test_checkpoint_bad_magic_errors(tmp_path):
     path = tmp_path / "ck.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
