@@ -508,104 +508,8 @@ def stack_rows(tensors: Sequence[DTensor]) -> DTensor:
 
 
 # ---------------------------------------------------------------------------
-# LSTM: one step on plain arrays, a whole timeline as one node, and the
-# per-step composite of the primitives above that the timeline must equal
+# LSTM cell (composite of the primitives above)
 # ---------------------------------------------------------------------------
-
-def lstm_cell_values(f, h_prev, c_prev, w_ih, w_hh, b) -> tuple[np.ndarray, ...]:
-    """lstm_cell on plain arrays, with the same operations in the same order.
-
-    Returns (gate_i, gate_f, cand, gate_o, c, tanh_c, h); the intermediates
-    are what lstm_timeline's backward pass needs.
-    """
-    hidden = h_prev.shape[0]
-    z = (f @ w_ih + b) + h_prev @ w_hh
-    gate_i = _sigmoid_vals(z[0:hidden])
-    gate_f = _sigmoid_vals(z[hidden:2 * hidden])
-    cand = np.tanh(z[2 * hidden:3 * hidden])
-    gate_o = _sigmoid_vals(z[3 * hidden:4 * hidden])
-    c = gate_f * c_prev + gate_i * cand
-    tanh_c = np.tanh(c)
-    return gate_i, gate_f, cand, gate_o, c, tanh_c, gate_o * tanh_c
-
-
-def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
-    """Softmax rows of an LSTM run over the rows of x from a zero state.
-
-    x: (L, C_f), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,), w_a: (H, K),
-    b_a: (K,) -> (L, K), row i = softmax(h_i @ w_a + b_a). This is
-    lstm_cell, affine and softmax per step followed by stack_rows, recorded
-    as one tape node. Forward and backward run the same floating-point
-    operations in the same order as those per-step nodes would, and each
-    weight gradient gathers its per-step terms newest step first, as the
-    per-step tape does, so values and gradients are bitwise the same.
-    """
-    x, w_ih, w_hh, b, w_a, b_a = (_as_tensor(t) for t in (x, w_ih, w_hh, b, w_a, b_a))
-    hidden = w_hh.values.shape[0]
-    if (x.values.ndim != 2 or w_ih.values.shape != (x.values.shape[1], 4 * hidden)
-            or w_hh.values.shape != (hidden, 4 * hidden) or b.values.shape != (4 * hidden,)
-            or w_a.values.ndim != 2 or w_a.values.shape[0] != hidden
-            or b_a.values.shape != (w_a.values.shape[1],)):
-        raise ShapeError(
-            f"lstm_timeline: x {x.values.shape}, w_ih {w_ih.values.shape}, "
-            f"w_hh {w_hh.values.shape}, b {b.values.shape}, "
-            f"w_a {w_a.values.shape}, b_a {b_a.values.shape}")
-    count = x.values.shape[0]
-    zero = np.zeros(hidden)
-    cells, rows = [], []
-    h = c = zero
-    for i in range(count):
-        cell = lstm_cell_values(x.values[i], h, c, w_ih.values, w_hh.values, b.values)
-        c, h = cell[4], cell[6]
-        cells.append(cell)
-        rows.append(_softmax_vals(h @ w_a.values + b_a.values))
-    out = DTensor(np.stack(rows), requires_grad=_needs(x, w_ih, w_hh, b, w_a, b_a))
-    recurrent = any(t.requires_grad for t in (x, w_ih, w_hh, b))
-
-    def pull(g: np.ndarray) -> None:
-        dx = np.empty_like(x.values) if x.requires_grad else None
-        # per-step weight-gradient terms land here, not in fresh temporaries
-        outer_hh = np.empty_like(w_hh.values)
-        outer_ih = np.empty_like(w_ih.values)
-        dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
-        for i in reversed(range(count)):
-            gate_i, gate_f, cand, gate_o, c, tanh_c, h = cells[i]
-            y = rows[i]
-            dlogits = y * (g[i] - (g[i] * y).sum(axis=-1, keepdims=True))
-            if w_a.requires_grad:
-                w_a.ensure_grad()[...] += h.reshape(1, -1).T @ dlogits.reshape(1, -1)
-            if b_a.requires_grad:
-                b_a.ensure_grad()[...] += dlogits
-            if not recurrent:
-                continue
-            dh = dlogits @ w_a.values.T
-            if dh_next is not None:
-                dh = dh_next + dh
-            dc = dh * gate_o * (1.0 - tanh_c * tanh_c)
-            if dc_next is not None:
-                dc = dc_next + dc
-            h_prev, c_prev = (cells[i - 1][6], cells[i - 1][4]) if i else (zero, zero)
-            dz = np.concatenate([
-                dc * cand * gate_i * (1.0 - gate_i),
-                dc * c_prev * gate_f * (1.0 - gate_f),
-                dc * gate_i * (1.0 - cand * cand),
-                dh * tanh_c * gate_o * (1.0 - gate_o)])
-            if w_hh.requires_grad:
-                w_hh.ensure_grad()[...] += np.einsum("i,j->ij", h_prev, dz, out=outer_hh)
-            if w_ih.requires_grad:
-                w_ih.ensure_grad()[...] += np.einsum("i,j->ij", x.values[i], dz, out=outer_ih)
-            if b.requires_grad:
-                b.ensure_grad()[...] += dz
-            if dx is not None:
-                dx[i] = dz @ w_ih.values.T
-            dh_next = dz @ w_hh.values.T if i else None
-            dc_next = dc * gate_f
-        if dx is not None:
-            x.ensure_grad()[...] += dx
-
-    _record(out, pull)
-    return out
-
 
 def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
     """One step of the standard gated recurrence.
@@ -613,7 +517,6 @@ def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
     f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,).
     Gate layout along the 4H axis: input, forget, candidate, output.
     Returns (h, c); h is bounded in (-1, 1) by construction.
-    lstm_timeline runs a whole sequence of these steps as one tape node.
     """
     hidden = _as_tensor(h_prev).values.shape[0]
     z = add(affine(f, w_ih, b), linear(h_prev, w_hh))

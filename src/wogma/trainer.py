@@ -31,7 +31,6 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 1 << 15  # elements per in-place Adam pass; two such buffers stay in cache
 
 
 @dataclass
@@ -87,49 +86,17 @@ def joint_loss(model: ActionDetector, clips: np.ndarray,
 
 
 def adam_step(params: list[Parameter], config: TrainConfig, grad_scale: float = 1.0) -> None:
-    """Bias-corrected Adam with weight decay added to the gradient (L2 form).
-
-    Per element: g = grad * grad_scale + weight_decay * value,
-    m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g, and
-    value -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
-    It runs in place over blocks of about ADAM_BLOCK elements (whole rows of
-    each parameter) with two block-sized scratch buffers, so a step
-    allocates nothing parameter-sized; the arithmetic is the same either way.
-    """
-    row_sizes = [p.values[0].size if p.values.ndim and len(p.values) else 1 for p in params]
-    scratch = np.empty((2, max([ADAM_BLOCK] + row_sizes)))
-    for p, row_size in zip(params, row_sizes):
+    """Bias-corrected Adam with weight decay added to the gradient (L2 form)."""
+    for p in params:
+        grad = p.tensor.grad
+        grad = np.zeros_like(p.values) if grad is None else grad * grad_scale
+        grad = grad + config.weight_decay * p.values
         p.step_count += 1
-        m_scale = 1.0 - ADAM_BETA1 ** p.step_count
-        v_scale = 1.0 - ADAM_BETA2 ** p.step_count
-        values, m_rows, v_rows = (np.atleast_1d(a) for a in (p.values, p.adam_m, p.adam_v))
-        grads = None if p.tensor.grad is None else np.atleast_1d(p.tensor.grad)
-        rows = max(1, ADAM_BLOCK // max(1, row_size))
-        for start in range(0, len(values), rows):
-            part = slice(start, start + rows)
-            value, m, v = values[part], m_rows[part], v_rows[part]
-            g = scratch[0, :value.size].reshape(value.shape)
-            tmp = scratch[1, :value.size].reshape(value.shape)
-            if grads is None:
-                g[...] = 0.0
-            else:
-                np.multiply(grads[part], grad_scale, out=g)
-            np.multiply(value, config.weight_decay, out=tmp)
-            np.add(g, tmp, out=g)
-            np.multiply(m, ADAM_BETA1, out=m)
-            np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-            np.add(m, tmp, out=m)
-            np.multiply(v, ADAM_BETA2, out=v)
-            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-            np.multiply(tmp, g, out=tmp)
-            np.add(v, tmp, out=v)
-            np.divide(m, m_scale, out=g)
-            np.divide(v, v_scale, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            np.add(tmp, ADAM_EPS, out=tmp)
-            np.multiply(g, config.lr, out=g)
-            np.divide(g, tmp, out=g)
-            np.subtract(value, g, out=value)
+        p.adam_m[...] = ADAM_BETA1 * p.adam_m + (1.0 - ADAM_BETA1) * grad
+        p.adam_v[...] = ADAM_BETA2 * p.adam_v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = p.adam_m / (1.0 - ADAM_BETA1 ** p.step_count)
+        v_hat = p.adam_v / (1.0 - ADAM_BETA2 ** p.step_count)
+        p.tensor.values[...] -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def zero_grads(params: list[Parameter]) -> None:
@@ -249,8 +216,9 @@ def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
-    """Write to a temporary file beside `path`, then rename it into place, so
-    `path` holds either its old contents or the whole new checkpoint."""
+    """Write to a temporary file beside `path`, sync it to disk, then rename
+    it into place, so after a process crash or a power loss `path` holds
+    either its old contents or the whole new checkpoint."""
     config_blob = json.dumps(train_config_to_dict(model.config),
                              sort_keys=True).encode("utf-8")
     path = Path(path)
@@ -269,6 +237,8 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
                 _write_record(handle, name + ".adam_m", param.adam_m)
                 _write_record(handle, name + ".adam_v", param.adam_v)
                 handle.write(struct.pack("<Q", param.step_count))
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

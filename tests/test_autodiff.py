@@ -171,65 +171,6 @@ def test_lstm_cell_gradient():
     assert ad.grad_check(step_h, args, h=1e-6) < 1e-5
 
 
-def per_step_timeline(x, w_ih, w_hh, b, w_a, b_a):
-    """lstm_timeline as one tape node per primitive: the oracle it must equal."""
-    hidden = w_hh.values.shape[0]
-    h = DTensor(np.zeros(hidden))
-    c = DTensor(np.zeros(hidden))
-    rows = []
-    for i in range(x.values.shape[0]):
-        f = ad.reshape(ad.slice_rows(x, i, i + 1), (x.values.shape[1],))
-        h, c = ad.lstm_cell(h, c, f, w_ih, w_hh, b)
-        rows.append(ad.softmax(ad.affine(h, w_a, b_a)))
-    return ad.stack_rows(rows)
-
-
-def timeline_inputs(seed, count=9, feature_dim=5, hidden=6, classes=3):
-    rng = np.random.default_rng(seed)
-    return [rng.standard_normal((count, feature_dim)),
-            rng.standard_normal((feature_dim, 4 * hidden)) * 0.5,
-            rng.standard_normal((hidden, 4 * hidden)) * 0.5,
-            rng.standard_normal(4 * hidden) * 0.3,
-            rng.standard_normal((hidden, classes)),
-            rng.standard_normal(classes) * 0.3]
-
-
-@pytest.mark.parametrize("x_requires_grad", [True, False])
-def test_lstm_timeline_equals_per_step_tape_bitwise(x_requires_grad):
-    arrays = timeline_inputs(31)
-    probe = np.random.default_rng(32).standard_normal((9, 3))
-    results = []
-    for timeline in (ad.lstm_timeline, per_step_timeline):
-        tensors = [DTensor(a.copy(), requires_grad=(k > 0 or x_requires_grad))
-                   for k, a in enumerate(arrays)]
-        for t in tensors[1:]:
-            # gradients already gathered, as from an earlier video of a batch
-            t.grad = np.full_like(t.values, 0.125)
-        with Tape() as tape:
-            out = timeline(*tensors)
-            loss = ad.reduce_sum(ad.mul(out, DTensor(probe)))
-        tape.backward(loss)
-        results.append((out.values, [t.grad for t in tensors]))
-    (fused, fused_grads), (steps, step_grads) = results
-    assert fused.tobytes() == steps.tobytes()
-    for a, b in zip(fused_grads, step_grads):
-        if a is None or b is None:
-            assert a is None and b is None and not x_requires_grad
-        else:
-            assert a.tobytes() == b.tobytes()
-
-
-def test_lstm_timeline_gradient():
-    assert ad.grad_check(ad.lstm_timeline, timeline_inputs(33, count=4), h=1e-6) < 1e-5
-
-
-def test_lstm_timeline_shape_mismatch_names_shapes():
-    arrays = timeline_inputs(34)
-    arrays[2] = arrays[2][:, :-1]
-    with pytest.raises(ad.ShapeError, match=r"w_hh \(6, 23\)"):
-        ad.lstm_timeline(*arrays)
-
-
 def test_softmax_cross_entropy_composite_gradient():
     rng = np.random.default_rng(14)
     logits = rng.standard_normal((6, 3))

@@ -40,45 +40,6 @@ def test_adam_weight_decay_pulls_towards_zero():
     assert p.values[0] < 2.0
 
 
-def reference_adam_step(params, config, grad_scale=1.0):
-    """Adam written with whole-array temporaries, the update adam_step must equal."""
-    for p in params:
-        grad = p.tensor.grad
-        grad = np.zeros_like(p.values) if grad is None else grad * grad_scale
-        grad = grad + config.weight_decay * p.values
-        p.step_count += 1
-        p.adam_m[...] = tr.ADAM_BETA1 * p.adam_m + (1.0 - tr.ADAM_BETA1) * grad
-        p.adam_v[...] = tr.ADAM_BETA2 * p.adam_v + (1.0 - tr.ADAM_BETA2) * grad * grad
-        m_hat = p.adam_m / (1.0 - tr.ADAM_BETA1 ** p.step_count)
-        v_hat = p.adam_v / (1.0 - tr.ADAM_BETA2 ** p.step_count)
-        p.tensor.values[...] -= config.lr * m_hat / (np.sqrt(v_hat) + tr.ADAM_EPS)
-
-
-def test_adam_step_in_blocks_equals_whole_array_update_bitwise():
-    # shapes: several blocks of rows, one row wider than a block, a vector
-    # longer than a block, a scalar, an empty array; one parameter has no grad
-    rng = np.random.default_rng(21)
-    shapes = [(3 * tr.ADAM_BLOCK // 64 + 5, 64), (2, tr.ADAM_BLOCK + 3),
-              (tr.ADAM_BLOCK + 7,), (), (0, 4), (7, 3, 5)]
-    config = micro_config(lr=1e-3, weight_decay=5e-4)
-    fast, slow = [], []
-    for k, shape in enumerate(shapes):
-        values = rng.standard_normal(shape)
-        grad = None if k == 5 else rng.standard_normal(shape)
-        for bundle in (fast, slow):
-            p = Parameter(values.copy(), name=f"p{k}")
-            p.tensor.grad = None if grad is None else grad.copy()
-            bundle.append(p)
-    for _ in range(3):
-        tr.adam_step(fast, config, grad_scale=0.5)
-        reference_adam_step(slow, config, grad_scale=0.5)
-    for a, b in zip(fast, slow):
-        for x, y in ((a.values, b.values), (a.adam_m, b.adam_m), (a.adam_v, b.adam_v)):
-            assert x.shape == y.shape
-            assert x.tobytes() == y.tobytes()
-        assert a.step_count == b.step_count == 3
-
-
 def test_joint_loss_sum_of_parts():
     model = micro_model()
     clips = micro_clips()
