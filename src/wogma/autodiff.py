@@ -508,8 +508,135 @@ def stack_rows(tensors: Sequence[DTensor]) -> DTensor:
 
 
 # ---------------------------------------------------------------------------
-# LSTM cell (composite of the primitives above)
+# LSTM: one step on plain arrays, a whole timeline as one node, and the
+# per-step composite of the primitives above that the timeline must equal
 # ---------------------------------------------------------------------------
+
+def lstm_cell_values(f, h_prev, c_prev, w_ih, w_hh, b) -> tuple[np.ndarray, ...]:
+    """lstm_cell on plain arrays, with the same operations in the same order.
+
+    Returns (gate_i, gate_f, cand, gate_o, c, tanh_c, h); the intermediates
+    are what lstm_timeline's backward pass needs.
+    """
+    hidden = h_prev.shape[0]
+    z = (f @ w_ih + b) + h_prev @ w_hh
+    gate_i = _sigmoid_vals(z[0:hidden])
+    gate_f = _sigmoid_vals(z[hidden:2 * hidden])
+    cand = np.tanh(z[2 * hidden:3 * hidden])
+    gate_o = _sigmoid_vals(z[3 * hidden:4 * hidden])
+    c = gate_f * c_prev + gate_i * cand
+    tanh_c = np.tanh(c)
+    return gate_i, gate_f, cand, gate_o, c, tanh_c, gate_o * tanh_c
+
+
+# Bytes of a weight-gradient row block in lstm_timeline's backward pass: the
+# block and one term buffer of this size stay in cache across all L steps.
+OUTER_BLOCK_BYTES = 256 * 1024
+
+
+def _add_outer_terms(grad: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """grad += outer(left[i], right[i]) for i = L-1 down to 0, term by term.
+
+    Each term is rounded before it is added, as a per-step tape's
+    `grad += outer` does, so every element sees the same additions in the
+    same order. The work runs over blocks of grad's rows, each of about
+    OUTER_BLOCK_BYTES, so a block stays in cache across all L steps instead
+    of the whole gradient streaming through memory once per step.
+    """
+    rows = max(1, OUTER_BLOCK_BYTES // max(1, grad.shape[1] * grad.itemsize))
+    term = np.empty((min(rows, grad.shape[0]), grad.shape[1]), dtype=grad.dtype)
+    for start in range(0, grad.shape[0], rows):
+        block = grad[start:start + rows]
+        part = term[:block.shape[0]]
+        column = left[:, start:start + rows, None]
+        for i in reversed(range(left.shape[0])):
+            np.multiply(column[i], right[i], out=part)
+            block += part
+
+
+def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
+    """Softmax rows of an LSTM run over the rows of x from a zero state.
+
+    x: (L, C_f), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,), w_a: (H, K),
+    b_a: (K,) -> (L, K), row i = softmax(h_i @ w_a + b_a). This is
+    lstm_cell, affine and softmax per step followed by stack_rows, recorded
+    as one tape node, and values and gradients are bitwise the same as those
+    per-step nodes give:
+    - the forward pass runs lstm_cell_values per row, the kernel that
+      OnlineBranch.online_step runs too;
+    - the backward pass first walks the steps newest first with the per-step
+      nodes' operations in their order, keeping each step's gate gradient
+      dz as a row of an (L, 4H) array;
+    - it then adds the w_hh and w_ih terms, outer(h_{i-1}, dz_i) and
+      outer(x_i, dz_i), newest step first, in cache-sized row blocks.
+    """
+    x, w_ih, w_hh, b, w_a, b_a = (_as_tensor(t) for t in (x, w_ih, w_hh, b, w_a, b_a))
+    hidden = w_hh.values.shape[0]
+    if (x.values.ndim != 2 or w_ih.values.shape != (x.values.shape[1], 4 * hidden)
+            or w_hh.values.shape != (hidden, 4 * hidden) or b.values.shape != (4 * hidden,)
+            or w_a.values.ndim != 2 or w_a.values.shape[0] != hidden
+            or b_a.values.shape != (w_a.values.shape[1],)):
+        raise ShapeError(
+            f"lstm_timeline: x {x.values.shape}, w_ih {w_ih.values.shape}, "
+            f"w_hh {w_hh.values.shape}, b {b.values.shape}, "
+            f"w_a {w_a.values.shape}, b_a {b_a.values.shape}")
+    count = x.values.shape[0]
+    zero = np.zeros(hidden)
+    cells, rows = [], []
+    h = c = zero
+    for i in range(count):
+        cell = lstm_cell_values(x.values[i], h, c, w_ih.values, w_hh.values, b.values)
+        c, h = cell[4], cell[6]
+        cells.append(cell)
+        rows.append(_softmax_vals(h @ w_a.values + b_a.values))
+    out = DTensor(np.stack(rows), requires_grad=_needs(x, w_ih, w_hh, b, w_a, b_a))
+    recurrent = any(t.requires_grad for t in (x, w_ih, w_hh, b))
+
+    def pull(g: np.ndarray) -> None:
+        dx = np.empty_like(x.values) if x.requires_grad else None
+        dz_rows = np.empty((count, 4 * hidden)) if recurrent else None
+        dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
+        for i in reversed(range(count)):
+            gate_i, gate_f, cand, gate_o, c, tanh_c, h = cells[i]
+            y = rows[i]
+            dlogits = y * (g[i] - (g[i] * y).sum(axis=-1, keepdims=True))
+            if w_a.requires_grad:
+                w_a.ensure_grad()[...] += h.reshape(1, -1).T @ dlogits.reshape(1, -1)
+            if b_a.requires_grad:
+                b_a.ensure_grad()[...] += dlogits
+            if not recurrent:
+                continue
+            dh = dlogits @ w_a.values.T
+            if dh_next is not None:
+                dh = dh_next + dh
+            dc = dh * gate_o * (1.0 - tanh_c * tanh_c)
+            if dc_next is not None:
+                dc = dc_next + dc
+            c_prev = cells[i - 1][4] if i else zero
+            dz = np.concatenate([
+                dc * cand * gate_i * (1.0 - gate_i),
+                dc * c_prev * gate_f * (1.0 - gate_f),
+                dc * gate_i * (1.0 - cand * cand),
+                dh * tanh_c * gate_o * (1.0 - gate_o)], out=dz_rows[i])
+            if b.requires_grad:
+                b.ensure_grad()[...] += dz
+            if dx is not None:
+                dx[i] = dz @ w_ih.values.T
+            dh_next = dz @ w_hh.values.T if i else None
+            dc_next = dc * gate_f
+        if not recurrent:
+            return
+        if dx is not None:
+            x.ensure_grad()[...] += dx
+        if w_hh.requires_grad:
+            h_prev = np.stack([zero] + [cell[6] for cell in cells[:-1]])
+            _add_outer_terms(w_hh.ensure_grad(), h_prev, dz_rows)
+        if w_ih.requires_grad:
+            _add_outer_terms(w_ih.ensure_grad(), x.values, dz_rows)
+
+    _record(out, pull)
+    return out
+
 
 def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
     """One step of the standard gated recurrence.
@@ -517,6 +644,7 @@ def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
     f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,).
     Gate layout along the 4H axis: input, forget, candidate, output.
     Returns (h, c); h is bounded in (-1, 1) by construction.
+    lstm_timeline runs a whole sequence of these steps as one tape node.
     """
     hidden = _as_tensor(h_prev).values.shape[0]
     z = add(affine(f, w_ih, b), linear(h_prev, w_hh))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import SkeletonSequence
+from .errors import DataFormatError
 from .model import ActionDetector
 from .oamb import DetectionInstance, extract_instances, prefix_video_prob
 
@@ -187,8 +188,10 @@ def score_videos(model: ActionDetector, dataset: list[SkeletonSequence],
 def early_observation_curve(results: list[VideoResult], fractions, kappa: int) -> list[tuple[float, float]]:
     """AUC when classifying from the first ceil(p * L) clips only.
 
-    The timelines are causal, so slicing a stored timeline equals re-running
-    the model on the truncated input.
+    The timelines are causal in the clips, so slicing a stored timeline
+    equals re-running the model on the truncated clips. It does not equal
+    re-running on truncated raw frames: preprocessing normalises every frame
+    by a statistic of the whole video.
     """
     labels = np.array([r.label for r in results])
     curve = []
@@ -229,6 +232,15 @@ def build_report(results: list[VideoResult], fractions, kappa: int) -> EvalRepor
 
 def evaluate(model: ActionDetector, dataset: list[SkeletonSequence],
              run: RunConfig) -> tuple[EvalReport, list[VideoResult]]:
+    """Score every video and build the report.
+
+    Raises DataFormatError, naming the video, if a video does not carry one
+    label per class of the model, as training requires.
+    """
+    for seq in dataset:
+        if len(seq.labels) != model.config.n_c:
+            raise DataFormatError(
+                f"{seq.video_id}: {len(seq.labels)} labels for {model.config.n_c} classes")
     results = score_videos(model, dataset, run.instance_threshold)
     report = build_report(results, run.eval_fractions, model.config.kappa)
     return report, results

@@ -1,9 +1,11 @@
 """Online action modeling branch: causal recurrent scoring of clips.
 
 Each clip advances an LSTM state and emits a softmax over n_c action classes
-plus background (index 0). Row i of the timeline depends on clips 1..i only;
-the streaming path and the training path execute the same per-step
-operations in the same order, so their outputs are bitwise identical.
+plus background (index 0). Row i of the timeline depends on clips 1..i only.
+The streaming path (online_step) and the training path (timeline, one tape
+node through ad.lstm_timeline) both run the one step kernel
+ad.lstm_cell_values per clip, followed by the same softmax head, so their
+outputs are bitwise identical by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter
-from .autodiff import _sigmoid_vals, _softmax_vals
+from .autodiff import _softmax_vals
 from .cpgb import PROB_EPS, binary_cross_entropy, top_k_count, top_k_indices
 from .lfem import ClipWindowing
 
@@ -64,20 +66,12 @@ class OnlineBranch:
     def online_step(self, state: OnlineState, feature: np.ndarray) -> tuple[OnlineState, np.ndarray]:
         """Advance one clip; returns the new state and the (n_c+1,) softmax row.
 
-        Mirrors the training-path operation order exactly so streaming and
-        batch outputs agree bitwise.
+        Runs ad.lstm_cell_values, the step kernel of the training timeline,
+        so streaming rows equal `timeline` rows bitwise by construction.
         """
-        hidden = self.hidden
-        w_ih = self.params["oamb.w_ih"].values
-        w_hh = self.params["oamb.w_hh"].values
-        bias = self.params["oamb.b"].values
-        z = (feature @ w_ih + bias) + state.h @ w_hh
-        gate_i = _sigmoid_vals(z[0:hidden])
-        gate_f = _sigmoid_vals(z[hidden:2 * hidden])
-        cand = np.tanh(z[2 * hidden:3 * hidden])
-        gate_o = _sigmoid_vals(z[3 * hidden:4 * hidden])
-        c = gate_f * state.c + gate_i * cand
-        h = gate_o * np.tanh(c)
+        _, _, _, _, c, _, h = ad.lstm_cell_values(
+            feature, state.h, state.c, self.params["oamb.w_ih"].values,
+            self.params["oamb.w_hh"].values, self.params["oamb.b"].values)
         logits = h @ self.params["oamb.w_a"].values + self.params["oamb.b_a"].values
         probs = _softmax_vals(logits)
         return OnlineState(h=h, c=c, clips_seen=state.clips_seen + 1), probs
@@ -93,19 +87,14 @@ class OnlineBranch:
     # -- training path -------------------------------------------------------
 
     def timeline(self, features: DTensor) -> DTensor:
-        """Differentiable timeline (L, n_c+1) over clip features (L, C_f)."""
-        count = features.values.shape[0]
-        h = DTensor(np.zeros(self.hidden))
-        c = DTensor(np.zeros(self.hidden))
-        rows = []
-        for i in range(count):
-            f_i = ad.slice_rows(features, i, i + 1)
-            f_i = ad.reshape(f_i, (self.feature_dim,))
-            h, c = ad.lstm_cell(h, c, f_i, self.params["oamb.w_ih"],
-                                self.params["oamb.w_hh"], self.params["oamb.b"])
-            rows.append(ad.softmax(ad.affine(h, self.params["oamb.w_a"],
-                                             self.params["oamb.b_a"])))
-        return ad.stack_rows(rows)
+        """Differentiable timeline (L, n_c+1) over clip features (L, C_f).
+
+        One tape node for the whole recurrence; its rows equal `stream`'s
+        bitwise, as both run `ad.lstm_cell_values` per clip.
+        """
+        return ad.lstm_timeline(features, self.params["oamb.w_ih"], self.params["oamb.w_hh"],
+                                self.params["oamb.b"], self.params["oamb.w_a"],
+                                self.params["oamb.b_a"])
 
 
 def frame_loss(timeline: DTensor, pseudo_labels: np.ndarray) -> DTensor:

@@ -4,6 +4,8 @@ import pytest
 from wogma import autodiff as ad
 from wogma.autodiff import DTensor, Parameter, Tape
 from wogma.errors import ConfigurationError, NumericalError
+from wogma.oamb import OnlineBranch
+from lstm_oracle import per_step_timeline
 
 
 def test_affine_identity():
@@ -169,6 +171,73 @@ def test_lstm_cell_gradient():
         return ad.add(h, c)
 
     assert ad.grad_check(step_h, args, h=1e-6) < 1e-5
+
+
+def timeline_inputs(seed, count=9, feature_dim=5, hidden=6, classes=3):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((count, feature_dim)),
+            rng.standard_normal((feature_dim, 4 * hidden)) * 0.5,
+            rng.standard_normal((hidden, 4 * hidden)) * 0.5,
+            rng.standard_normal(4 * hidden) * 0.3,
+            rng.standard_normal((hidden, classes)),
+            rng.standard_normal(classes) * 0.3]
+
+
+def run_two_videos(timeline, arrays, second_x, probes, x_requires_grad):
+    """Forward and backward over two videos, gradients gathered as in a batch."""
+    weights = [DTensor(a.copy(), requires_grad=True) for a in arrays[1:]]
+    results = []
+    for x, probe in zip((arrays[0], second_x), probes):
+        x = DTensor(x.copy(), requires_grad=x_requires_grad)
+        with Tape() as tape:
+            out = timeline(x, *weights)
+            loss = ad.reduce_sum(ad.mul(out, DTensor(probe)))
+        tape.backward(loss)
+        results += [out.values, x.grad]
+    return results + [w.grad for w in weights]
+
+
+@pytest.mark.parametrize("block_rows", [None, 4], ids=["default-block", "4-row-block"])
+@pytest.mark.parametrize("count", [9, 1])
+@pytest.mark.parametrize("x_requires_grad", [True, False])
+def test_lstm_timeline_equals_per_step_tape_bitwise(x_requires_grad, count, block_rows,
+                                                     monkeypatch):
+    if block_rows is not None:
+        # w_hh (6 rows) and w_ih (5 rows) span a partial last block
+        monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", block_rows * 4 * 6 * 8)
+    arrays = timeline_inputs(31, count=count)
+    rng = np.random.default_rng(32)
+    second_x = rng.standard_normal(arrays[0].shape)
+    probes = [rng.standard_normal((count, 3)) for _ in range(2)]
+    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, x_requires_grad)
+    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, x_requires_grad)
+    for a, b in zip(fused, steps):
+        if a is None or b is None:
+            assert a is None and b is None and not x_requires_grad
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_lstm_timeline_gradient():
+    assert ad.grad_check(ad.lstm_timeline, timeline_inputs(33, count=4), h=1e-6) < 1e-5
+
+
+def test_lstm_timeline_shape_mismatch_names_shapes():
+    arrays = timeline_inputs(34)
+    arrays[2] = arrays[2][:, :-1]
+    with pytest.raises(ad.ShapeError, match=r"x \(9, 5\), w_ih \(5, 24\), w_hh \(6, 23\)"):
+        ad.lstm_timeline(*arrays)
+
+
+def test_online_branch_timeline_is_one_tape_node():
+    branch = OnlineBranch(feature_dim=5, hidden=6, n_classes=2,
+                          rng=np.random.default_rng(35))
+    feats = DTensor(np.random.default_rng(36).standard_normal((7, 5)), requires_grad=True)
+    with Tape() as tape:
+        out = branch.timeline(feats)
+    assert len(tape) == 1
+    assert out.values.shape == (7, 3)
 
 
 def test_softmax_cross_entropy_composite_gradient():

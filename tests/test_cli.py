@@ -182,6 +182,19 @@ def test_eval_fractions_flag_validation(tmp_path, capsys):
                     "--out-dir", tmp_path, "--fractions", "0.0,1.0"]) == 1
 
 
+def test_eval_label_count_mismatch_exits_two(tmp_path, capsys):
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**{**FAST_CONFIG, "n_c": 2})),
+                    epoch=0)
+    data = tmp_path / "d.jsonl"
+    seqs = write_dataset(data)
+    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {seqs[0].video_id}: 1 labels for 2 classes" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_plot_missing_inputs_warn_but_succeed(tmp_path, capsys):
     assert run_cli(["plot", "--report", tmp_path / "missing.json",
                     "--out-dir", tmp_path]) == 0

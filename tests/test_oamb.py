@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogma import autodiff as ad
 from wogma import oamb
@@ -48,6 +50,20 @@ def test_training_path_matches_streaming_bitwise():
     trained = branch.timeline(DTensor(feats)).values
     streamed = branch.stream(feats)
     np.testing.assert_array_equal(trained, streamed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, 12), hidden=st.integers(1, 40), feature_dim=st.integers(1, 16),
+       n_classes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_taped_timeline_equals_stream_bitwise(count, hidden, feature_dim, n_classes, seed):
+    # guards the per-row forward: a batched one differs from x @ W in the last bits
+    branch = make_branch(feature_dim=feature_dim, hidden=hidden, n_classes=n_classes, seed=seed)
+    feats = np.random.default_rng(seed).standard_normal((count, feature_dim))
+    with ad.Tape():
+        trained = branch.timeline(DTensor(feats, requires_grad=True)).values
+    streamed = branch.stream(feats)
+    assert trained.shape == streamed.shape == (count, n_classes + 1)
+    assert trained.tobytes() == streamed.tobytes()
 
 
 def test_state_advances_once_per_clip():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import micro_clips, micro_config, micro_model
+from lstm_oracle import per_step_timeline
 from wogma import trainer as tr
 from wogma.autodiff import Parameter
 from wogma.config import TrainConfig
 from wogma.dataset import SynthParams, synthesize
 from wogma.errors import DataFormatError
 from wogma.model import ActionDetector
+from wogma.oamb import OnlineBranch
 
 
 def small_dataset(n_videos=8, frames=120, seed=3):
@@ -100,6 +102,28 @@ def test_training_is_bitwise_deterministic(small_training_config):
         np.testing.assert_array_equal(model_a.params[name].values,
                                       model_b.params[name].values)
     assert metrics_a == metrics_b
+
+
+def per_step_branch_timeline(branch, features):
+    p = branch.params
+    return per_step_timeline(features, p["oamb.w_ih"], p["oamb.w_hh"], p["oamb.b"],
+                             p["oamb.w_a"], p["oamb.b_a"])
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_one_node_timeline_keeps_training_trajectory(tmp_path, small_training_config,
+                                                      batch_size, monkeypatch):
+    config = dataclasses.replace(small_training_config, batch_size=batch_size)
+    data = small_dataset()
+    outputs = []
+    for name in ("one-node", "per-step"):
+        if name == "per-step":
+            monkeypatch.setattr(OnlineBranch, "timeline", per_step_branch_timeline)
+        model, metrics = tr.train(data, config)
+        tr.save_checkpoint(tmp_path / f"{name}.bin", model, epoch=config.epochs)
+        tr.write_metrics_csv(tmp_path / f"{name}.csv", metrics)
+        outputs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("bin", "csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_metrics_csv_format(tmp_path):
