@@ -208,6 +208,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _instance_records(video_id, timeline, threshold, windowing) -> list[dict]:
+    """instances.json entries of one timeline's detections."""
+    return [{"video_id": video_id, "start_frame": inst.start_frame,
+             "end_frame": inst.end_frame, "score": inst.score, "class": inst.label}
+            for inst in extract_instances(timeline, threshold, windowing)]
+
+
 def cmd_detect(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     out_dir = Path(args.out_dir)
@@ -246,11 +253,8 @@ def cmd_detect(args) -> int:
             sys.stdout.flush()
         if rows:
             timeline = np.stack(rows)
-            for inst in extract_instances(timeline, args.instance_threshold,
-                                          model.windowing):
-                all_instances.append({"video_id": "stdin", "start_frame": inst.start_frame,
-                                      "end_frame": inst.end_frame, "score": inst.score,
-                                      "class": inst.label})
+            all_instances += _instance_records("stdin", timeline, args.instance_threshold,
+                                               model.windowing)
     else:
         dataset = load_sequences(args.data)
         for seq in dataset:
@@ -261,12 +265,8 @@ def cmd_detect(args) -> int:
                 record["video_id"] = seq.video_id
                 sys.stdout.write(json.dumps(record) + "\n")
             sys.stdout.flush()
-            for inst in extract_instances(timeline, args.instance_threshold,
-                                          model.windowing):
-                all_instances.append({"video_id": seq.video_id,
-                                      "start_frame": inst.start_frame,
-                                      "end_frame": inst.end_frame, "score": inst.score,
-                                      "class": inst.label})
+            all_instances += _instance_records(seq.video_id, timeline,
+                                               args.instance_threshold, model.windowing)
 
     (out_dir / "instances.json").write_text(json.dumps(all_instances, indent=2) + "\n")
     return 0

@@ -55,29 +55,24 @@ def top_k_count(clip_count: int, kappa: int) -> int:
     return max(1, clip_count // kappa)
 
 
-def top_k_indices(scores: np.ndarray, kappa: int) -> list[np.ndarray]:
-    """Per class: indices of the K largest clip scores, lower index on ties."""
+def top_k_indices(scores: np.ndarray, kappa: int) -> np.ndarray:
+    """(n_c, K) indices of each column's K largest clip scores, ascending;
+    lower index on ties."""
     count = top_k_count(scores.shape[0], kappa)
-    picked = []
-    for c in range(scores.shape[1]):
-        order = np.lexsort((np.arange(scores.shape[0]), -scores[:, c]))
-        picked.append(np.sort(order[:count]))
-    return picked
+    return np.sort(np.argsort(-scores, axis=0, kind="stable")[:count], axis=0).T
 
 
-def topk_video_score(scores: DTensor, kappa: int) -> tuple[DTensor, list[np.ndarray]]:
-    """Mean of the K highest clip scores per class; gradient reaches only them.
+def topk_pool(x: DTensor, kappa: int, first_col: int) -> DTensor:
+    """Mean of the K largest entries of each column of x from `first_col` on.
 
-    Returns the (n_c,) video score vector and the selected index sets.
+    K = max(1, L // kappa). The (n_c,) result is every video-level score of
+    the model; its gradient reaches only the picked entries, each as 1/K.
     """
-    picked = top_k_indices(scores.values, kappa)
-    count = picked[0].size
-    per_class = []
-    for c, idx in enumerate(picked):
-        cols = np.full(count, c, dtype=np.intp)
-        per_class.append(ad.reduce_mean(ad.take_entries(scores, idx, cols)))
-    stacked = ad.stack_rows([ad.reshape(s, (1,)) for s in per_class])
-    return ad.reshape(stacked, (len(picked),)), picked
+    picked = top_k_indices(x.values[:, first_col:], kappa)
+    n_cols, count = picked.shape
+    cols = np.repeat(np.arange(first_col, first_col + n_cols), count)
+    return ad.reduce_mean(ad.reshape(ad.take_entries(x, picked.ravel(), cols),
+                                     (n_cols, count)), axis=1)
 
 
 def binary_cross_entropy(probs: DTensor, labels: np.ndarray) -> DTensor:
@@ -96,9 +91,8 @@ def binary_cross_entropy(probs: DTensor, labels: np.ndarray) -> DTensor:
 
 def mil_loss(scores: DTensor, labels: np.ndarray, kappa: int) -> tuple[DTensor, np.ndarray]:
     """Video-level MIL loss from raw clip scores; also returns video probs."""
-    video_scores, _ = topk_video_score(scores, kappa)
-    video_probs = ad.sigmoid(video_scores)
-    return binary_cross_entropy(video_probs, labels), video_probs.values.copy()
+    video_probs = ad.sigmoid(topk_pool(scores, kappa, 0))
+    return binary_cross_entropy(video_probs, labels), video_probs.values
 
 
 def generate_pseudo_labels(clip_probs: np.ndarray, video_probs: np.ndarray,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import SkeletonSequence
-from .errors import DataFormatError
+from .errors import ConfigurationError, DataFormatError
 from .model import ActionDetector
 from .oamb import DetectionInstance, extract_instances, prefix_video_prob
 
@@ -235,12 +235,17 @@ def evaluate(model: ActionDetector, dataset: list[SkeletonSequence],
     """Score every video and build the report.
 
     Raises DataFormatError, naming the video, if a video does not carry one
-    label per class of the model, as training requires.
+    label per class of the model, as training requires; then
+    ConfigurationError if the model has more than one class, as every
+    metric here scores class 1 only.
     """
     for seq in dataset:
         if len(seq.labels) != model.config.n_c:
             raise DataFormatError(
                 f"{seq.video_id}: {len(seq.labels)} labels for {model.config.n_c} classes")
+    if model.config.n_c > 1:
+        raise ConfigurationError(
+            f"eval scores one action class; the model has n_c = {model.config.n_c}")
     results = score_videos(model, dataset, run.instance_threshold)
     report = build_report(results, run.eval_fractions, model.config.kappa)
     return report, results

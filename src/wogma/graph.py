@@ -14,8 +14,6 @@ the convolution consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources as importlib_resources
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +29,12 @@ JOINT_NAMES = [
     "l_shoulder", "l_elbow", "l_wrist", "r_hip", "r_knee", "r_ankle",
     "l_hip", "l_knee", "l_ankle", "r_eye", "l_eye", "r_ear", "l_ear",
 ]
+
+# Undirected edges of the 18-joint skeleton, 1-indexed in JOINT_NAMES order.
+SKELETON_EDGES = (
+    (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (7, 8), (2, 9), (9, 10),
+    (10, 11), (2, 12), (12, 13), (13, 14), (1, 15), (15, 17), (1, 16), (16, 18),
+)
 
 
 @dataclass(frozen=True)
@@ -57,35 +61,9 @@ def build_spatial_graph(edge_list, joint_count: int) -> SkeletonGraph:
     return SkeletonGraph(joint_count=joint_count, edges=tuple(edges), adjacency=adj)
 
 
-def load_edge_file(path) -> tuple[list[tuple[int, int]], int]:
-    """Parse an `i j` per line edge file; joint count = max index seen."""
-    edges: list[tuple[int, int]] = []
-    top = 0
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected two joint indices, got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: non-integer joint index in {raw!r}") from exc
-        edges.append((i, j))
-        top = max(top, i, j)
-    if not edges:
-        raise DataFormatError(f"{path}: no edges found")
-    return edges, top
-
-
 def default_skeleton() -> SkeletonGraph:
-    """The shipped 18-joint pose skeleton."""
-    with importlib_resources.as_file(
-        importlib_resources.files("wogma").joinpath("resources/skeleton_edges.txt")
-    ) as path:
-        edges, count = load_edge_file(path)
-    return build_spatial_graph(edges, max(count, JOINT_COUNT))
+    """The 18-joint pose skeleton of SKELETON_EDGES."""
+    return build_spatial_graph(SKELETON_EDGES, JOINT_COUNT)
 
 
 def disentangle_multiscale(adjacency: np.ndarray, scales: int) -> list[np.ndarray]:

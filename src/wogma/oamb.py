@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter
 from .autodiff import _softmax_vals
-from .cpgb import PROB_EPS, binary_cross_entropy, top_k_count, top_k_indices
+from .cpgb import PROB_EPS, binary_cross_entropy, topk_pool
 from .lfem import ClipWindowing
 
 
@@ -109,21 +109,16 @@ def frame_loss(timeline: DTensor, pseudo_labels: np.ndarray) -> DTensor:
     return ad.scale(ad.reduce_mean(picked), -1.0)
 
 
-def mil_loss_online(timeline: DTensor, labels: np.ndarray, kappa: int) -> DTensor:
-    """Top-K pooled video probability per action class, scored as BCE.
+def mil_loss_online(timeline: DTensor, labels: np.ndarray,
+                    kappa: int) -> tuple[DTensor, np.ndarray]:
+    """Top-K pooled video probability per action class, scored as BCE;
+    also returns the pooled probabilities.
 
     Pooling runs on the post-softmax action columns, which already live in
     [0, 1], so no extra squashing is applied.
     """
-    action_probs = timeline.values[:, 1:]
-    picked = top_k_indices(action_probs, kappa)
-    per_class = []
-    for c, idx in enumerate(picked):
-        cols = np.full(idx.size, c + 1, dtype=np.intp)
-        per_class.append(ad.reduce_mean(ad.take_entries(timeline, idx, cols)))
-    video = ad.reshape(ad.stack_rows([ad.reshape(p, (1,)) for p in per_class]),
-                       (len(per_class),))
-    return binary_cross_entropy(video, labels)
+    video = topk_pool(timeline, kappa, 1)
+    return binary_cross_entropy(video, labels), video.values
 
 
 def prefix_video_prob(timeline_probs: np.ndarray, prefix: int, kappa: int) -> np.ndarray:
@@ -131,13 +126,7 @@ def prefix_video_prob(timeline_probs: np.ndarray, prefix: int, kappa: int) -> np
     count = timeline_probs.shape[0]
     if not 1 <= prefix <= count:
         raise ValueError(f"prefix {prefix} outside 1..{count}")
-    head = timeline_probs[:prefix, 1:]
-    k = top_k_count(prefix, kappa)
-    out = np.empty(head.shape[1])
-    for c in range(head.shape[1]):
-        order = np.lexsort((np.arange(prefix), -head[:, c]))
-        out[c] = head[order[:k], c].mean()
-    return out
+    return topk_pool(DTensor(timeline_probs[:prefix]), kappa, 1).values
 
 
 def extract_instances(timeline_probs: np.ndarray, threshold: float,

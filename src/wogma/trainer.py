@@ -23,7 +23,7 @@ from .cpgb import generate_pseudo_labels, mil_loss
 from .dataset import SkeletonSequence
 from .errors import DataFormatError, NumericalError
 from .model import ActionDetector
-from .oamb import frame_loss, mil_loss_online, prefix_video_prob
+from .oamb import frame_loss, mil_loss_online
 
 CHECKPOINT_MAGIC = b"WOGM"
 CHECKPOINT_VERSION = 1
@@ -65,7 +65,7 @@ def joint_loss(model: ActionDetector, clips: np.ndarray,
     loss_mil_p, video_probs = mil_loss(scores, labels, config.kappa)
 
     timeline = model.online_branch.timeline(feats)
-    loss_mil_o = mil_loss_online(timeline, labels, config.kappa)
+    loss_mil_o, online_prob = mil_loss_online(timeline, labels, config.kappa)
 
     total = ad.add(loss_mil_p, loss_mil_o)
     loss_fml_value = 0.0
@@ -77,8 +77,6 @@ def joint_loss(model: ActionDetector, clips: np.ndarray,
         total = ad.add(total, loss_fml)
         loss_fml_value = float(loss_fml.values)
 
-    online_prob = prefix_video_prob(timeline.values, timeline.values.shape[0],
-                                    config.kappa)
     parts = LossParts(total=float(total.values), mil_pseudo=float(loss_mil_p.values),
                       frame=loss_fml_value, mil_online=float(loss_mil_o.values),
                       video_prob=online_prob)

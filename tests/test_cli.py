@@ -195,6 +195,50 @@ def test_eval_label_count_mismatch_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_eval_more_than_one_class_exits_one(tmp_path, capsys):
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**{**FAST_CONFIG, "n_c": 2})),
+                    epoch=0)
+    seqs = synthesize(SynthParams(n_videos=2, frames=120, seed=2,
+                                  segment_len_min=40, segment_len_max=60))
+    for seq in seqs:
+        seq.labels = [seq.labels[0], 0]
+    data = tmp_path / "d.jsonl"
+    save_sequences(data, seqs)
+    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", tmp_path / "out"]) == 1
+    assert "error: eval scores one action class; the model has n_c = 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_detect_stdin_equals_detect_data(tmp_path, monkeypatch, capsys):
+    # streaming a video's prepared clips one by one gives the records that
+    # the whole-video path gives for that video
+    config = TrainConfig(**FAST_CONFIG)
+    model = ActionDetector(config)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, model, epoch=0)
+    data = tmp_path / "d.jsonl"
+    seq = write_dataset(data, n_videos=1)[0]
+    assert run_cli(["detect", "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", tmp_path / "data"]) == 0
+    from_data = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+
+    lines = [json.dumps({"frames": clip.tolist()}) + "\n" for clip in model.prepare_clips(seq)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(lines)))
+    assert run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
+                    "--out-dir", tmp_path / "stdin"]) == 0
+    from_stdin = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+
+    assert len(from_stdin) == len(from_data) == len(lines)
+    for streamed, whole in zip(from_stdin, from_data):
+        assert whole.pop("video_id") == seq.video_id
+        assert set(streamed) == set(whole)
+        for key in ("clip", "start_frame", "end_frame"):
+            assert streamed[key] == whole[key]
+        np.testing.assert_allclose(streamed["probs"], whole["probs"], rtol=0, atol=1e-12)
+
+
 def test_plot_missing_inputs_warn_but_succeed(tmp_path, capsys):
     assert run_cli(["plot", "--report", tmp_path / "missing.json",
                     "--out-dir", tmp_path]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wogma import autodiff as ad
 from wogma import cpgb
@@ -82,29 +84,33 @@ def test_top_k_count_formula(clip_count, kappa):
 
 def test_topk_video_score_example():
     scores = DTensor(np.array([[0.9], [0.1], [0.5], [0.7]]))
-    video, picked = cpgb.topk_video_score(scores, kappa=2)
+    video = cpgb.topk_pool(scores, kappa=2, first_col=0)
+    picked = cpgb.top_k_indices(scores.values, kappa=2)
     assert video.values[0] == pytest.approx(0.8)
     np.testing.assert_array_equal(picked[0], [0, 3])
 
 
 def test_topk_clamps_to_max_score():
     scores = DTensor(np.array([[0.2], [0.9], [0.4], [0.1], [0.6]]))
-    video, picked = cpgb.topk_video_score(scores, kappa=8)
+    video = cpgb.topk_pool(scores, kappa=8, first_col=0)
+    picked = cpgb.top_k_indices(scores.values, kappa=8)
     assert video.values[0] == pytest.approx(0.9)
     np.testing.assert_array_equal(picked[0], [1])
 
 
 def test_topk_tie_break_prefers_lower_index():
     scores = DTensor(np.array([[0.5], [0.5], [0.5]]))
-    _, picked = cpgb.topk_video_score(scores, kappa=2)
+    picked = cpgb.top_k_indices(scores.values, kappa=2)
     np.testing.assert_array_equal(picked[0], [0])
 
 
 def test_topk_shift_invariance():
     rng = np.random.default_rng(6)
     scores = rng.standard_normal((12, 2))
-    video_a, picked_a = cpgb.topk_video_score(DTensor(scores), kappa=3)
-    video_b, picked_b = cpgb.topk_video_score(DTensor(scores + 5.0), kappa=3)
+    video_a = cpgb.topk_pool(DTensor(scores), kappa=3, first_col=0)
+    video_b = cpgb.topk_pool(DTensor(scores + 5.0), kappa=3, first_col=0)
+    picked_a = cpgb.top_k_indices(scores, kappa=3)
+    picked_b = cpgb.top_k_indices(scores + 5.0, kappa=3)
     for a, b in zip(picked_a, picked_b):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_allclose(video_b.values - video_a.values, 5.0)
@@ -113,12 +119,43 @@ def test_topk_shift_invariance():
 def test_topk_gradient_reaches_only_selected_clips():
     scores = DTensor(np.array([[0.9], [0.1], [0.5], [0.7]]), requires_grad=True)
     with Tape() as tape:
-        video, picked = cpgb.topk_video_score(scores, kappa=2)
+        video = cpgb.topk_pool(scores, kappa=2, first_col=0)
         loss = ad.reduce_sum(video)
     tape.backward(loss)
     expected = np.zeros((4, 1))
     expected[[0, 3], 0] = 0.5
     np.testing.assert_array_equal(scores.grad, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 40), n_cols=st.integers(1, 3), kappa=st.integers(1, 10),
+       first_col=st.integers(0, 1), seed=st.integers(0, 2**32 - 1),
+       ties=st.booleans())
+def test_topk_pool_matches_brute_force(count, n_cols, kappa, first_col, seed, ties):
+    # oracle: mean of the K largest values of each pooled column, where
+    # K = max(1, L // kappa); the gradient of the sum is 1/K on the picked
+    # entries (lower index on ties) and zero everywhere else
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, first_col + n_cols))
+    if ties:
+        x = np.round(x)          # many equal values, so the tie rule decides
+    k = max(1, count // kappa)
+    expected_mean = np.empty(n_cols)
+    expected_grad = np.zeros_like(x)
+    for c in range(n_cols):
+        col = x[:, first_col + c]
+        ranked = sorted(range(count), key=lambda i: (-col[i], i))[:k]
+        expected_mean[c] = sum(col[i] for i in ranked) / k
+        expected_grad[ranked, first_col + c] = 1.0 / k
+
+    tensor = DTensor(x, requires_grad=True)
+    with Tape() as tape:
+        pooled = cpgb.topk_pool(tensor, kappa, first_col)
+        loss = ad.reduce_sum(pooled)
+    tape.backward(loss)
+    assert pooled.values.shape == (n_cols,)
+    np.testing.assert_allclose(pooled.values, expected_mean, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(tensor.grad, expected_grad)
 
 
 def test_mil_loss_hand_values():

@@ -107,17 +107,17 @@ def test_frame_loss_gradient_through_softmax():
 def test_mil_loss_online_hand_values():
     ones = np.zeros((4, 2))
     ones[:, 1] = 1.0
-    loss = oamb.mil_loss_online(DTensor(ones), np.array([1]), kappa=2)
+    loss, _ = oamb.mil_loss_online(DTensor(ones), np.array([1]), kappa=2)
     assert loss.values == pytest.approx(0.0, abs=1e-5)
 
     half = np.full((4, 2), 0.5)
-    loss_half = oamb.mil_loss_online(DTensor(half), np.array([1]), kappa=2)
+    loss_half, _ = oamb.mil_loss_online(DTensor(half), np.array([1]), kappa=2)
     assert loss_half.values == pytest.approx(math.log(2.0))
 
 
 def test_mil_loss_online_small_video_uses_max():
     probs = np.array([[0.9, 0.1], [0.4, 0.6], [0.8, 0.2], [0.7, 0.3], [0.95, 0.05]])
-    loss = oamb.mil_loss_online(DTensor(probs), np.array([1]), kappa=8)
+    loss, _ = oamb.mil_loss_online(DTensor(probs), np.array([1]), kappa=8)
     assert loss.values == pytest.approx(-math.log(0.6))
 
 
