@@ -52,7 +52,14 @@ class DTensor:
         return self.grad
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Clear the gradient. A buffer that is a view, as into the trainer's
+        ParameterArena, is zeroed in place and stays bound, so the next
+        backward pass allocates nothing; a buffer the tensor owns is dropped,
+        which frees its memory between passes outside training."""
+        if self.grad is not None and self.grad.base is not None:
+            self.grad.fill(0.0)
+        else:
+            self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DTensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -465,19 +472,6 @@ def reshape(x, shape: Sequence[int]) -> DTensor:
     return out
 
 
-def slice_rows(x, start: int, stop: int) -> DTensor:
-    """View rows [start:stop) along axis 0 (works for 1-D vectors too)."""
-    x = _as_tensor(x)
-    out = DTensor(x.values[start:stop].copy(), requires_grad=_needs(x))
-
-    def pull(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[start:stop] += g
-
-    _record(out, pull)
-    return out
-
-
 def take_entries(x, rows: np.ndarray, cols: np.ndarray) -> DTensor:
     """Gather x[rows[j], cols[j]] into a vector; backward scatter-adds."""
     x = _as_tensor(x)
@@ -493,30 +487,18 @@ def take_entries(x, rows: np.ndarray, cols: np.ndarray) -> DTensor:
     return out
 
 
-def stack_rows(tensors: Sequence[DTensor]) -> DTensor:
-    """Stack 1-D tensors of equal length into a matrix (len, d)."""
-    ts = [_as_tensor(t) for t in tensors]
-    out = DTensor(np.stack([t.values for t in ts]), requires_grad=_needs(*ts))
-
-    def pull(g: np.ndarray) -> None:
-        for i, t in enumerate(ts):
-            if t.requires_grad:
-                t.ensure_grad()[...] += g[i]
-
-    _record(out, pull)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# LSTM: one step on plain arrays, a whole timeline as one node, and the
-# per-step composite of the primitives above that the timeline must equal
+# LSTM: one step on plain arrays and a whole timeline as one node
 # ---------------------------------------------------------------------------
 
 def lstm_cell_values(f, h_prev, c_prev, w_ih, w_hh, b) -> tuple[np.ndarray, ...]:
-    """lstm_cell on plain arrays, with the same operations in the same order.
+    """One step of the standard gated recurrence on plain arrays.
 
-    Returns (gate_i, gate_f, cand, gate_o, c, tanh_c, h); the intermediates
-    are what lstm_timeline's backward pass needs.
+    f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,).
+    Gate layout along the 4H axis: input, forget, candidate, output.
+    Returns (gate_i, gate_f, cand, gate_o, c, tanh_c, h); h is bounded in
+    (-1, 1), and the intermediates are what lstm_timeline's backward pass
+    needs.
     """
     hidden = h_prev.shape[0]
     z = (f @ w_ih + b) + h_prev @ w_hh
@@ -558,10 +540,10 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     """Softmax rows of an LSTM run over the rows of x from a zero state.
 
     x: (L, C_f), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,), w_a: (H, K),
-    b_a: (K,) -> (L, K), row i = softmax(h_i @ w_a + b_a). This is
-    lstm_cell, affine and softmax per step followed by stack_rows, recorded
-    as one tape node, and values and gradients are bitwise the same as those
-    per-step nodes give:
+    b_a: (K,) -> (L, K), row i = softmax(h_i @ w_a + b_a). This is an LSTM
+    cell, affine and softmax per step followed by a row stack, recorded as
+    one tape node, and values and gradients are bitwise the same as those
+    per-step nodes give (tests/lstm_oracle.py records them):
     - the forward pass runs lstm_cell_values per row, the kernel that
       OnlineBranch.online_step runs too;
     - the backward pass first walks the steps newest first with the per-step
@@ -636,25 +618,6 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
 
     _record(out, pull)
     return out
-
-
-def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
-    """One step of the standard gated recurrence.
-
-    f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,).
-    Gate layout along the 4H axis: input, forget, candidate, output.
-    Returns (h, c); h is bounded in (-1, 1) by construction.
-    lstm_timeline runs a whole sequence of these steps as one tape node.
-    """
-    hidden = _as_tensor(h_prev).values.shape[0]
-    z = add(affine(f, w_ih, b), linear(h_prev, w_hh))
-    gate_i = sigmoid(slice_rows(z, 0, hidden))
-    gate_f = sigmoid(slice_rows(z, hidden, 2 * hidden))
-    cand = tanh(slice_rows(z, 2 * hidden, 3 * hidden))
-    gate_o = sigmoid(slice_rows(z, 3 * hidden, 4 * hidden))
-    c = add(mul(gate_f, c_prev), mul(gate_i, cand))
-    h = mul(gate_o, tanh(c))
-    return h, c
 
 
 # ---------------------------------------------------------------------------

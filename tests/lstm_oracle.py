@@ -6,6 +6,7 @@ tape node per primitive: the form the one-node timeline must equal bitwise.
 
 import numpy as np
 
+from tape_oracle import lstm_cell, slice_rows, stack_rows
 from wogma import autodiff as ad
 from wogma.autodiff import DTensor
 
@@ -17,7 +18,7 @@ def per_step_timeline(x, w_ih, w_hh, b, w_a, b_a):
     c = DTensor(np.zeros(hidden))
     rows = []
     for i in range(x.values.shape[0]):
-        f = ad.reshape(ad.slice_rows(x, i, i + 1), (x.values.shape[1],))
-        h, c = ad.lstm_cell(h, c, f, w_ih, w_hh, b)
+        f = ad.reshape(slice_rows(x, i, i + 1), (x.values.shape[1],))
+        h, c = lstm_cell(h, c, f, w_ih, w_hh, b)
         rows.append(ad.softmax(ad.affine(h, w_a, b_a)))
-    return ad.stack_rows(rows)
+    return stack_rows(rows)

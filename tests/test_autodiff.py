@@ -6,6 +6,7 @@ from wogma.autodiff import DTensor, Parameter, Tape
 from wogma.errors import ConfigurationError, NumericalError
 from wogma.oamb import OnlineBranch
 from lstm_oracle import per_step_timeline
+from tape_oracle import lstm_cell
 
 
 def test_affine_identity():
@@ -136,7 +137,7 @@ def test_lstm_cell_zero_weights_zero_state():
     w_ih = DTensor(np.zeros((3, 16)))
     w_hh = DTensor(np.zeros((4, 16)))
     b = DTensor(np.zeros(16))
-    h1, c1 = ad.lstm_cell(h, c, f, w_ih, w_hh, b)
+    h1, c1 = lstm_cell(h, c, f, w_ih, w_hh, b)
     np.testing.assert_array_equal(h1.values, np.zeros(4))
     np.testing.assert_array_equal(c1.values, np.zeros(4))
 
@@ -149,7 +150,7 @@ def test_lstm_cell_hidden_state_bounded():
     b = rng.standard_normal(32)
     for _ in range(20):
         f = rng.standard_normal(5) * 3.0
-        ht, ct = ad.lstm_cell(DTensor(h), DTensor(c), DTensor(f), DTensor(w_ih), DTensor(w_hh), DTensor(b))
+        ht, ct = lstm_cell(DTensor(h), DTensor(c), DTensor(f), DTensor(w_ih), DTensor(w_hh), DTensor(b))
         h, c = ht.values, ct.values
         assert np.max(np.abs(h)) < 1.0
 
@@ -167,7 +168,7 @@ def test_lstm_cell_gradient():
     ]
 
     def step_h(h_prev, c_prev, f, w_ih, w_hh, b):
-        h, c = ad.lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b)
+        h, c = lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b)
         return ad.add(h, c)
 
     assert ad.grad_check(step_h, args, h=1e-6) < 1e-5
@@ -303,6 +304,19 @@ def test_parameter_buffers_zero_initialised():
     assert np.array_equal(p.adam_m, np.zeros((2, 2)))
     assert np.array_equal(p.adam_v, np.zeros((2, 2)))
     assert p.step_count == 0
+
+
+def test_zero_grad_drops_owned_buffer_and_zeroes_view_in_place():
+    owned = DTensor(np.ones(3), requires_grad=True)
+    owned.ensure_grad()[...] = 2.0
+    owned.zero_grad()
+    assert owned.grad is None
+    flat = np.full(5, 2.0)
+    viewed = DTensor(np.ones(3), requires_grad=True)
+    viewed.grad = flat[1:4]
+    viewed.zero_grad()
+    assert np.shares_memory(viewed.grad, flat)
+    np.testing.assert_array_equal(flat, [2.0, 0.0, 0.0, 0.0, 2.0])
 
 
 def test_take_entries_scatter_adds_on_duplicate_rows():

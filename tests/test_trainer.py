@@ -1,8 +1,14 @@
+import csv
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adam_oracle import per_parameter_adam_step
 from conftest import micro_clips, micro_config, micro_model
 from lstm_oracle import per_step_timeline
 from wogma import trainer as tr
@@ -22,15 +28,16 @@ def small_dataset(n_videos=8, frames=120, seed=3):
 def test_adam_zero_grad_zero_decay_keeps_parameters():
     p = Parameter(np.array([1.0, -2.0]), name="w")
     config = micro_config(weight_decay=0.0)
-    tr.adam_step([p], config)
+    tr.adam_step(tr.ParameterArena([p]), config)
     np.testing.assert_array_equal(p.values, [1.0, -2.0])
 
 
 def test_adam_first_step_is_signed_lr():
     p = Parameter(np.array([0.5, -0.5]), name="w")
-    p.tensor.grad = np.array([0.3, -0.7])
+    arena = tr.ParameterArena([p])
+    p.tensor.grad[...] = [0.3, -0.7]
     config = micro_config(lr=1e-3, weight_decay=0.0)
-    tr.adam_step([p], config)
+    tr.adam_step(arena, config)
     np.testing.assert_allclose(p.values, [0.5 - 1e-3, -0.5 + 1e-3], rtol=1e-6)
     assert p.step_count == 1
 
@@ -38,8 +45,85 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_weight_decay_pulls_towards_zero():
     p = Parameter(np.array([2.0]), name="w")
     config = micro_config(lr=1e-3, weight_decay=0.1)
-    tr.adam_step([p], config)
+    tr.adam_step(tr.ParameterArena([p]), config)
     assert p.values[0] < 2.0
+
+
+# 0-d, single-element and small parameters, several in one arena
+param_shapes = st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple),
+                        min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=param_shapes, seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 4),
+       grad_scale=st.sampled_from([1.0, 0.5]), weight_decay=st.sampled_from([0.0, 0.1]),
+       block_elements=st.integers(1, 7))
+def test_arena_adam_equals_per_parameter_oracle(shapes, seed, steps, grad_scale,
+                                                weight_decay, block_elements):
+    rng = np.random.default_rng(seed)
+    initial = [rng.standard_normal(shape) for shape in shapes]
+    oracle = [Parameter(np.array(a)) for a in initial]
+    params = [Parameter(np.array(a)) for a in initial]
+    arena = tr.ParameterArena(params)
+    config = micro_config(lr=1e-2, weight_decay=weight_decay)
+    # blocks of a few elements straddle the parameters' boundaries
+    with mock.patch.object(tr, "ADAM_BLOCK_BYTES", 8 * block_elements):
+        for _ in range(steps):
+            for expected, p in zip(oracle, params):
+                if rng.random() < 0.3:  # this parameter received no gradient
+                    expected.tensor.grad = None
+                else:
+                    expected.tensor.grad = rng.standard_normal(p.values.shape)
+                    p.tensor.grad[...] = expected.tensor.grad
+            per_parameter_adam_step(oracle, config, grad_scale)
+            tr.adam_step(arena, config, grad_scale)
+            tr.zero_grads(params)
+    for expected, p in zip(oracle, params):
+        for want, got in ((expected.values, p.values), (expected.adam_m, p.adam_m),
+                          (expected.adam_v, p.adam_v)):
+            assert want.shape == got.shape
+            assert want.tobytes() == got.tobytes()
+        assert expected.step_count == p.step_count == steps
+
+
+def test_arena_keeps_values_moments_and_step_count():
+    rng = np.random.default_rng(4)
+    params = [Parameter(rng.standard_normal(shape)) for shape in ((2, 3), (), (4,))]
+    for p in params:
+        p.adam_m[...] = rng.standard_normal(p.values.shape)
+        p.adam_v[...] = rng.random(p.values.shape)
+        p.step_count = 7
+    before = [(p.values.copy(), p.adam_m.copy(), p.adam_v.copy()) for p in params]
+    arena = tr.ParameterArena(params)
+    assert arena.step_count == 7
+    for p, (values, adam_m, adam_v) in zip(params, before):
+        assert p.values.tobytes() == values.tobytes()
+        assert p.adam_m.tobytes() == adam_m.tobytes()
+        assert p.adam_v.tobytes() == adam_v.tobytes()
+        for view, flat in ((p.values, arena.values), (p.tensor.grad, arena.grad),
+                           (p.adam_m, arena.adam_m), (p.adam_v, arena.adam_v)):
+            assert view.shape == values.shape and np.shares_memory(view, flat)
+            assert view.ctypes.data % tr.ARENA_ALIGN_BYTES == 0
+
+
+def test_arena_rejects_parameters_at_different_steps():
+    first, second = Parameter(np.ones(2)), Parameter(np.ones(3))
+    second.step_count = 1
+    with pytest.raises(DataFormatError, match="different Adam steps"):
+        tr.ParameterArena([first, second])
+
+
+def test_adam_step_makes_no_parameter_sized_temporary():
+    config = TrainConfig()  # the paper point: 4.5 M parameters
+    arena = tr.ParameterArena(ActionDetector(config).parameters())
+    tracemalloc.start()
+    try:
+        tr.adam_step(arena, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = 2 * tr.ADAM_BLOCK_BYTES
+    assert peak < 2 * scratch
 
 
 def test_joint_loss_sum_of_parts():
@@ -123,6 +207,39 @@ def test_one_node_timeline_keeps_training_trajectory(tmp_path, small_training_co
         tr.save_checkpoint(tmp_path / f"{name}.bin", model, epoch=config.epochs)
         tr.write_metrics_csv(tmp_path / f"{name}.csv", metrics)
         outputs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("bin", "csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_metrics_csv_reads_back_as_floats(tmp_path, small_training_config):
+    config = dataclasses.replace(small_training_config, epochs=1)
+    _, metrics = tr.train(small_dataset(n_videos=2), config)
+    path = tmp_path / "metrics.csv"
+    tr.write_metrics_csv(path, metrics)
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 1
+    row = metrics[0]
+    assert [float(rows[0][k]) for k in ("l_mil_p", "l_fml", "l_mil_o", "train_acc")] == [
+        row.l_mil_p, row.l_fml, row.l_mil_o, row.train_acc]
+
+
+def test_continued_training_keeps_optimiser_state(tmp_path, small_training_config):
+    config = dataclasses.replace(small_training_config, epochs=1)
+    data = small_dataset(n_videos=4)
+    model, _ = tr.train(data, config)
+    tr.save_checkpoint(tmp_path / "first.bin", model, epoch=1)
+    loaded, _ = tr.load_checkpoint(tmp_path / "first.bin")
+    outputs = []
+    for start in (model, loaded):
+        resumed, _ = tr.train(data, config, model=start)
+        params = resumed.parameters()
+        assert all(p.step_count == 2 * len(data) for p in params)
+        tr.zero_grads(params)
+        arena_grad = params[0].tensor.grad.base
+        assert arena_grad is not None
+        assert all(p.tensor.grad.base is arena_grad for p in params)
+        tr.save_checkpoint(tmp_path / "resumed.bin", resumed, epoch=2)
+        outputs.append((tmp_path / "resumed.bin").read_bytes())
     assert outputs[0] == outputs[1]
 
 

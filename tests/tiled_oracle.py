@@ -6,6 +6,7 @@ map on each clip's mean pose. These helpers run the definition clip by clip
 so the tests can check `extract` against it.
 """
 
+from tape_oracle import stack_rows
 from wogma import autodiff as ad
 from wogma import graph as gr
 from wogma.autodiff import DTensor
@@ -45,4 +46,4 @@ def extract_dense(extractor, tiled, clips):
         for layer_thetas in extractor.thetas:
             window = g3d_conv(window, tiled, layer_thetas)
         rows.append(collapse_time(window, extractor.params["lfem.collapse"], tau, joints))
-    return extractor.aggregate_joints(ad.stack_rows(rows))
+    return extractor.aggregate_joints(stack_rows(rows))
