@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -83,13 +82,27 @@ def save_sequences(path, sequences: list[SkeletonSequence]) -> None:
             handle.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def load_sequences(path, joint_count: int = JOINT_COUNT) -> list[SkeletonSequence]:
-    sequences: list[SkeletonSequence] = []
+def _numbered_lines(path):
+    """Each line of a UTF-8 text file with its number, read one line at a time.
+
+    A line ends at LF, CRLF or CR, and is yielded without its line break.
+    """
+    lineno = 0
     try:
-        lines = Path(path).read_text().splitlines()
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                yield lineno, line.rstrip("\n")
     except OSError as exc:
         raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    except UnicodeDecodeError as exc:
+        # the file is decoded a block at a time, ahead of the line handed out
+        raise DataFormatError(
+            f"{path}: not UTF-8 text at or after line {lineno + 1}: {exc}") from exc
+
+
+def load_sequences(path, joint_count: int = JOINT_COUNT) -> list[SkeletonSequence]:
+    sequences: list[SkeletonSequence] = []
+    for lineno, line in _numbered_lines(path):
         if not line.strip():
             continue
         try:

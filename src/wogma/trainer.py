@@ -9,7 +9,10 @@ seed gives a bitwise-reproducible trajectory in single-threaded mode.
 one ParameterArena of four flat buffers. Backward passes accumulate into
 its gradient buffer, zero_grads clears it in place, and adam_step updates
 the whole model in one pass over cache-sized blocks, bitwise the same as the
-per-parameter formula. Checkpoints stay one record per parameter name.
+per-parameter formula. Checkpoints stay one record per parameter name;
+save_checkpoint writes each payload from the array's own buffer, and
+load_checkpoint reads the file once, each payload straight into the array
+the rebuilt model keeps.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import csv
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -264,7 +268,8 @@ def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
 #   epoch u32 | seed u64 | param count u32 |
 #   per parameter: record(values), record(adam_m), record(adam_v), step u64
 # where record = name length u32, UTF-8 name, rank u32, dims u32[rank],
-# float64 payload.
+# float64 payload. Payloads are written from the arrays' own buffers and
+# read back into the arrays of a freshly built model.
 # ---------------------------------------------------------------------------
 
 def _write_record(handle, name: str, array: np.ndarray) -> None:
@@ -273,20 +278,33 @@ def _write_record(handle, name: str, array: np.ndarray) -> None:
     handle.write(encoded)
     handle.write(struct.pack("<I", array.ndim))
     handle.write(struct.pack(f"<{array.ndim}I", *array.shape))
-    handle.write(array.astype("<f8", copy=False).tobytes())
+    handle.write(memoryview(np.asarray(array, dtype="<f8", order="C")))
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.offset = 0
+    """Reads a checkpoint's fields in order from an open file of known size.
+
+    Every length is checked against the bytes left before anything is read,
+    so a corrupted length cannot make the reader allocate more than the file
+    holds.
+    """
+
+    def __init__(self, handle, path):
+        self.handle = handle
         self.path = path
+        self.size = os.fstat(handle.fileno()).st_size
+        self.offset = 0
+
+    def _advance(self, count: int) -> None:
+        if self.offset + count > self.size:
+            raise DataFormatError(f"{self.path}: truncated checkpoint")
+        self.offset += count
 
     def take(self, count: int) -> bytes:
-        if self.offset + count > len(self.data):
+        self._advance(count)
+        chunk = self.handle.read(count)
+        if len(chunk) != count:
             raise DataFormatError(f"{self.path}: truncated checkpoint")
-        chunk = self.data[self.offset:self.offset + count]
-        self.offset += count
         return chunk
 
     def u32(self) -> int:
@@ -295,14 +313,25 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def text(self, what: str) -> str:
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{self.path}: {what} is not UTF-8: {exc}") from exc
 
-def _read_record(reader: _Reader) -> tuple[str, np.ndarray]:
-    name = reader.take(reader.u32()).decode("utf-8")
-    rank = reader.u32()
-    dims = struct.unpack(f"<{rank}I", reader.take(4 * rank))
-    count = int(np.prod(dims)) if dims else 1
-    payload = reader.take(8 * count)
-    return name, np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    def record_into(self, name: str, array: np.ndarray) -> None:
+        """Read the record `name` into `array`, whose shape it must have."""
+        rank = self.u32()
+        dims = struct.unpack(f"<{rank}I", self.take(4 * rank))
+        if dims != array.shape:
+            raise DataFormatError(
+                f"{self.path}: shape mismatch for {name!r}: {dims} vs {array.shape}")
+        view = memoryview(array).cast("B")
+        self._advance(view.nbytes)
+        if self.handle.readinto(view) != view.nbytes:
+            raise DataFormatError(f"{self.path}: truncated checkpoint")
+        if sys.byteorder == "big":
+            array.byteswap(inplace=True)
 
 
 def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
@@ -335,8 +364,22 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
 
 
 def load_checkpoint(path) -> tuple[ActionDetector, int]:
-    """Rebuild the model a checkpoint was saved from; returns (model, epoch)."""
-    reader = _Reader(Path(path).read_bytes(), path)
+    """Rebuild the model a checkpoint was saved from; returns (model, epoch).
+
+    The file is read once, front to back: the header builds the model, and
+    each record's payload is read straight into the array the model keeps.
+    A missing, unreadable or malformed file raises DataFormatError and leaves
+    no model behind.
+    """
+    try:
+        with open(path, "rb") as handle:
+            return _read_checkpoint(_Reader(handle, path))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _read_checkpoint(reader: _Reader) -> tuple[ActionDetector, int]:
+    path = reader.path
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
     version = reader.u32()
@@ -344,37 +387,33 @@ def load_checkpoint(path) -> tuple[ActionDetector, int]:
         raise DataFormatError(
             f"{path}: unsupported checkpoint version {version}, "
             f"expected {CHECKPOINT_VERSION}")
-    config = train_config_from_dict(json.loads(reader.take(reader.u32()).decode("utf-8")))
+    try:
+        config = json.loads(reader.text("config"))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise DataFormatError(f"{path}: config must be a JSON object")
     epoch = reader.u32()
     reader.u64()  # seed, already inside the config snapshot
     count = reader.u32()
+    model = ActionDetector(train_config_from_dict(config))
 
-    # parse everything before touching the model: a truncated file must not
-    # leave partial state behind
-    records: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, int]] = []
+    loaded: set[str] = set()
     for _ in range(count):
-        name, values = _read_record(reader)
-        m_name, adam_m = _read_record(reader)
-        v_name, adam_v = _read_record(reader)
-        if m_name != name + ".adam_m" or v_name != name + ".adam_v":
-            raise DataFormatError(f"{path}: malformed optimiser records for {name!r}")
-        step = reader.u64()
-        records.append((name, values, adam_m, adam_v, step))
-    trailing = len(reader.data) - reader.offset
+        name = reader.text("record name")
+        param = model.params.get(name)
+        if param is None or name in loaded:
+            raise DataFormatError(f"{path}: parameter names do not match the config")
+        loaded.add(name)
+        reader.record_into(name, param.tensor.values)
+        for suffix, moment in ((".adam_m", param.adam_m), (".adam_v", param.adam_v)):
+            if reader.text("record name") != name + suffix:
+                raise DataFormatError(f"{path}: malformed optimiser records for {name!r}")
+            reader.record_into(name + suffix, moment)
+        param.step_count = reader.u64()
+    trailing = reader.size - reader.offset
     if trailing:
         raise DataFormatError(f"{path}: {trailing} unexpected bytes after the last record")
-
-    model = ActionDetector(config)
-    if {r[0] for r in records} != set(model.params):
+    if loaded != set(model.params):
         raise DataFormatError(f"{path}: parameter names do not match the config")
-    for name, values, adam_m, adam_v, step in records:
-        param = model.params[name]
-        if param.values.shape != values.shape:
-            raise DataFormatError(
-                f"{path}: shape mismatch for {name!r}: "
-                f"{values.shape} vs {param.values.shape}")
-        param.tensor.values[...] = values
-        param.adam_m[...] = adam_m
-        param.adam_v[...] = adam_v
-        param.step_count = step
     return model, epoch

@@ -35,3 +35,43 @@ def small_training_config():
     return TrainConfig(tau=20, stride=20, max_frames=120, hidden=16,
                        feature_dim=16, gcn_channels=8, scales=3, n_c=1,
                        epochs=2, lr=1e-3, weight_decay=1e-4, seed=7)
+
+
+def checkpoint_field_ranges(blob: bytes, model: ActionDetector) -> list[tuple[int, int]]:
+    """(start, stop) of every field of `model`'s saved checkpoint `blob` but
+    the float payloads: the header, each record's name and dims, each step."""
+    offset = 12 + int.from_bytes(blob[8:12], "little") + 16
+    ranges = [(0, offset)]
+    for name, param in model.params.items():
+        for record in (name, name + ".adam_m", name + ".adam_v"):
+            header = 8 + len(record.encode("utf-8")) + 4 * param.values.ndim
+            ranges.append((offset, offset + header))
+            offset += header + param.values.nbytes
+        ranges.append((offset, offset + 8))
+        offset += 8
+    assert offset == len(blob)
+    return ranges
+
+
+def corrupt_saved_checkpoint(blob: bytes, model: ActionDetector, kind: str) -> bytes:
+    """`model`'s saved checkpoint `blob` with one field made malformed: the
+    config not UTF-8, not JSON or not a JSON object, the first parameter's
+    name not UTF-8, or the first dim of its adam_m record one too large."""
+    config_stop = 12 + int.from_bytes(blob[8:12], "little")
+    if kind == "config-not-object":
+        return blob[:8] + (3).to_bytes(4, "little") + b"[1]" + blob[config_stop:]
+    values_record, moment_record = checkpoint_field_ranges(blob, model)[1:3]
+    corrupted = bytearray(blob)
+    if kind == "config-not-utf8":
+        corrupted[12] = 0xFF
+    elif kind == "config-not-json":
+        corrupted[12] = ord("x")
+    elif kind == "name-not-utf8":
+        corrupted[values_record[0] + 4] = 0xFF
+    elif kind == "moment-shape":
+        dim = moment_record[0] + 8 + len(next(iter(model.params)) + ".adam_m")
+        corrupted[dim:dim + 4] = (int.from_bytes(blob[dim:dim + 4], "little")
+                                  + 1).to_bytes(4, "little")
+    else:
+        raise ValueError(f"unknown corruption {kind!r}")
+    return bytes(corrupted)

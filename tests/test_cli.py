@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import corrupt_saved_checkpoint
 from wogma import cli
 from wogma.dataset import SynthParams, save_sequences, synthesize
 from wogma.config import TrainConfig
@@ -61,6 +62,44 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 def test_missing_data_exits_two(tmp_path, capsys):
     assert run_cli(["train", "--data", tmp_path / "nope.jsonl",
                     "--out-dir", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("command", [["eval", "--data", "d.jsonl"], ["detect", "--stdin"]],
+                         ids=["eval", "detect"])
+def test_missing_checkpoint_exits_two(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    checkpoint = tmp_path / "nonexistent.bin"
+    assert run_cli([command[0], "--checkpoint", checkpoint, *command[1:],
+                    "--out-dir", tmp_path / "out"]) == 2
+    assert f"data error: cannot read checkpoint {checkpoint}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("config-not-utf8", "config is not UTF-8"),
+    ("config-not-json", "config is not valid JSON"),
+    ("name-not-utf8", "record name is not UTF-8"),
+])
+def test_detect_malformed_checkpoint_exits_two(tmp_path, monkeypatch, capsys, kind, message):
+    model = ActionDetector(TrainConfig(**FAST_CONFIG))
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, model, epoch=0)
+    checkpoint.write_bytes(corrupt_saved_checkpoint(checkpoint.read_bytes(), model, kind))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
+                    "--out-dir", tmp_path / "out"]) == 2
+    assert f"data error: {checkpoint}: {message}" in capsys.readouterr().err
+
+
+def test_eval_non_utf8_dataset_exits_two(tmp_path, capsys):
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, n_videos=2)
+    first, second = data.read_bytes().splitlines(keepends=True)
+    data.write_bytes(first + second.replace(b'"video_id"', b'"video\xffid"', 1))
+    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", tmp_path / "out"]) == 2
+    assert f"data error: {data}: not UTF-8 text at or after line " in capsys.readouterr().err
 
 
 def test_train_eval_plot_pipeline(tmp_path, capsys):

@@ -58,6 +58,26 @@ def test_malformed_json_names_line(tmp_path):
         ds.load_sequences(path)
 
 
+def test_non_utf8_byte_rejected_naming_file(tmp_path):
+    path = tmp_path / "d.jsonl"
+    ds.save_sequences(path, [tiny_sequence(), tiny_sequence()])
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + b"\xff" + second)
+    with pytest.raises(DataFormatError,
+                       match=f"{path}: not UTF-8 text at or after line [12]: "):
+        ds.load_sequences(path)
+
+
+def test_line_numbers_count_every_line_break(tmp_path):
+    # CRLF and a lone CR each end a line
+    path = tmp_path / "d.jsonl"
+    ds.save_sequences(path, [tiny_sequence()])
+    good = path.read_bytes().rstrip(b"\n")
+    path.write_bytes(good + b"\r\n" + good + b"\r" + b'{"video_id": "a"\n')
+    with pytest.raises(DataFormatError, match=":3: invalid JSON"):
+        ds.load_sequences(path)
+
+
 def test_confidence_out_of_range_rejected(tmp_path):
     seq = tiny_sequence()
     seq.frames[0, 0, 2] = 1.5

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adam_oracle import per_parameter_adam_step
-from conftest import micro_clips, micro_config, micro_model
+from conftest import (checkpoint_field_ranges, corrupt_saved_checkpoint, micro_clips,
+                      micro_config, micro_model)
 from lstm_oracle import per_step_timeline
 from wogma import trainer as tr
 from wogma.autodiff import Parameter
 from wogma.config import TrainConfig
 from wogma.dataset import SynthParams, synthesize
-from wogma.errors import DataFormatError
+from wogma.errors import ConfigurationError, DataFormatError
 from wogma.model import ActionDetector
 from wogma.oamb import OnlineBranch
 
@@ -345,3 +347,81 @@ def test_checkpoint_version_mismatch_errors(tmp_path, small_training_config):
     path.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match="version"):
         tr.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A saved micro model: its path, its bytes and the offset of every byte
+    outside the float payloads."""
+    model = ActionDetector(micro_config())
+    path = tmp_path_factory.mktemp("tiny") / "ck.bin"
+    tr.save_checkpoint(path, model, epoch=3)
+    blob = path.read_bytes()
+    fields = [i for start, stop in checkpoint_field_ranges(blob, model)
+              for i in range(start, stop)]
+    return path, blob, fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkpoint_any_truncation_raises_data_format_error(tiny_checkpoint, data):
+    path, blob, _ = tiny_checkpoint
+    path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(DataFormatError):
+        tr.load_checkpoint(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), value=st.integers(0, 255))
+def test_checkpoint_any_byte_overwrite_loads_or_raises_a_documented_error(
+        tiny_checkpoint, data, value):
+    path, blob, fields = tiny_checkpoint
+    # half the draws land on a length, name, dim or step, not on a payload
+    position = data.draw(st.one_of(st.sampled_from(fields), st.integers(0, len(blob) - 1)))
+    corrupted = bytearray(blob)
+    corrupted[position] = value
+    path.write_bytes(bytes(corrupted))
+    try:
+        tr.load_checkpoint(path)
+    except (DataFormatError, ConfigurationError):
+        pass
+
+
+def test_checkpoint_missing_file_errors(tmp_path):
+    path = tmp_path / "missing.bin"
+    with pytest.raises(DataFormatError, match=re.escape(f"cannot read checkpoint {path}: ")):
+        tr.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("config-not-utf8", "config is not UTF-8"),
+    ("config-not-json", "config is not valid JSON"),
+    ("config-not-object", "config must be a JSON object"),
+    ("name-not-utf8", "record name is not UTF-8"),
+    ("moment-shape", r"shape mismatch for '[^']*\.adam_m'"),
+])
+def test_checkpoint_malformed_field_errors(tmp_path, kind, message):
+    model = ActionDetector(micro_config())
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, model, epoch=0)
+    path.write_bytes(corrupt_saved_checkpoint(path.read_bytes(), model, kind))
+    with pytest.raises(DataFormatError, match=message):
+        tr.load_checkpoint(path)
+
+
+def test_load_checkpoint_holds_no_copy_of_the_records(tmp_path):
+    # each payload is read into the model's own arrays, so the load peaks at
+    # those arrays: no whole-file buffer and no per-record copies
+    model = ActionDetector(TrainConfig(hidden=256, seed=1))
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, model, epoch=0)
+    model_bytes = sum(p.values.nbytes + p.adam_m.nbytes + p.adam_v.nbytes
+                      for p in model.parameters())
+    del model
+    tracemalloc.start()
+    try:
+        tr.load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * model_bytes
