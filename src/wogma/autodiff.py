@@ -66,16 +66,18 @@ class DTensor:
 
 
 class Parameter:
-    """Trainable tensor plus Adam moment buffers and a step counter."""
+    """A named trainable tensor.
 
-    __slots__ = ("name", "tensor", "adam_m", "adam_v", "step_count")
+    It holds no optimiser state: the Adam moments and the step count belong
+    to the trainer's ParameterArena (`model.optimizer`), which training
+    builds, so a model built for inference carries only its values.
+    """
+
+    __slots__ = ("name", "tensor")
 
     def __init__(self, values, name: str = ""):
         self.name = name
         self.tensor = DTensor(values, requires_grad=True)
-        self.adam_m = np.zeros_like(self.tensor.values)
-        self.adam_v = np.zeros_like(self.tensor.values)
-        self.step_count = 0
 
     @property
     def values(self) -> np.ndarray:
@@ -85,8 +87,15 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.values.shape})"
 
 
-def init_uniform(rng: np.random.Generator, shape: Sequence[int], fan_in: int, name: str) -> Parameter:
-    """Uniform init in +-sqrt(1/fan_in), the convention used for every weight."""
+def init_uniform(rng: np.random.Generator | None, shape: Sequence[int], fan_in: int,
+                 name: str) -> Parameter:
+    """Uniform init in +-sqrt(1/fan_in), the convention used for every weight.
+
+    With no generator the values are left uninitialised, for a checkpoint
+    loader that overwrites every one of them.
+    """
+    if rng is None:
+        return Parameter(np.empty(tuple(shape)), name=name)
     bound = math.sqrt(1.0 / fan_in)
     return Parameter(rng.uniform(-bound, bound, size=tuple(shape)), name=name)
 

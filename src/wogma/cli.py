@@ -191,10 +191,10 @@ def cmd_eval(args) -> int:
     out_dir = Path(run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
-    with open(out_dir / "early_curve.csv", "w") as handle:
-        handle.write("fraction,auc\n")
-        for fraction, auc in report.early_curve:
-            handle.write(f"{fraction!r},{auc!r}\n")
+    with open(out_dir / "early_curve.csv", "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["fraction", "auc"])
+        writer.writerows(report.early_curve)
     with open(out_dir / "timelines.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         classes = model.config.n_c

@@ -20,7 +20,7 @@ class PseudoLabelBranch:
     """Temporal conv stack + per-clip scoring head."""
 
     def __init__(self, feature_dim: int, n_classes: int, conv_layers: int,
-                 conv_kernel: int, ablate_longrange: bool, rng: np.random.Generator):
+                 conv_kernel: int, ablate_longrange: bool, rng: np.random.Generator | None):
         self.n_classes = n_classes
         self.ablate_longrange = ablate_longrange
         self.params: dict[str, Parameter] = {}

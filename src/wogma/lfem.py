@@ -67,7 +67,7 @@ class LocalFeatureExtractor:
 
     def __init__(self, adjacency: tuple[np.ndarray, ...], tau: int, joints: int,
                  in_channels: int, gcn_channels: int, gcn_layers: int, feature_dim: int,
-                 ablate_local: bool, rng: np.random.Generator):
+                 ablate_local: bool, rng: np.random.Generator | None):
         self.adjacency = adjacency
         self.joints = joints
         self.tau = tau

@@ -18,14 +18,21 @@ class ActionDetector:
 
     Parameter creation order is fixed, and all randomness flows from the
     config seed, so two models built from the same config are identical.
+    With `initialise=False` the weights are left uninitialised; only the
+    checkpoint loader builds that way, as it overwrites every one of them.
+
+    The parameters hold values only. The Adam moments and step count are
+    the optimiser's: `optimizer` is None until `trainer.train` builds a
+    ParameterArena, or `load_checkpoint(path, optimizer=True)` reads one.
     """
 
-    def __init__(self, config: TrainConfig, skeleton: SkeletonGraph | None = None):
+    def __init__(self, config: TrainConfig, skeleton: SkeletonGraph | None = None, *,
+                 initialise: bool = True):
         config.validate()
         self.config = config
         self.skeleton = skeleton if skeleton is not None else default_skeleton()
         self.windowing = ClipWindowing(tau=config.tau, stride=config.stride)
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed) if initialise else None
         self.extractor = LocalFeatureExtractor(
             build_multiscale(self.skeleton, scales=config.scales), tau=config.tau,
             joints=self.skeleton.joint_count,
@@ -43,6 +50,7 @@ class ActionDetector:
         for bundle in (self.extractor.params, self.pseudo_branch.params,
                        self.online_branch.params):
             self.params.update(bundle)
+        self.optimizer = None   # trainer.ParameterArena, once training has state
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())

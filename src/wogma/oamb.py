@@ -42,7 +42,7 @@ class OnlineBranch:
     """LSTM over clip features plus an affine scoring head."""
 
     def __init__(self, feature_dim: int, hidden: int, n_classes: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.feature_dim = feature_dim
         self.hidden = hidden
         self.n_classes = n_classes

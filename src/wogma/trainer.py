@@ -5,20 +5,28 @@ outputs at every step (the freshest teacher) and sums the three loss terms;
 ablation flags drop individual terms or swap whole sub-networks. A fixed
 seed gives a bitwise-reproducible trajectory in single-threaded mode.
 
-`train` first moves every parameter's values, gradient and Adam moments into
-one ParameterArena of four flat buffers. Backward passes accumulate into
-its gradient buffer, zero_grads clears it in place, and adam_step updates
-the whole model in one pass over cache-sized blocks, bitwise the same as the
-per-parameter formula. Checkpoints stay one record per parameter name;
-save_checkpoint writes each payload from the array's own buffer, and
-load_checkpoint reads the file once, each payload straight into the array
-the rebuilt model keeps.
+The optimiser owns its state. The first `train` call on a model moves
+every parameter's values into a ParameterArena of four flat buffers (values,
+gradient, Adam m and v) with one step count, and keeps it as
+`model.optimizer`; later calls reuse it. Backward passes accumulate into its
+gradient buffer, zero_grads clears it in place, and adam_step updates the
+whole model in one pass over cache-sized blocks, bitwise the same as the
+per-parameter formula. Parameters hold only their values.
+
+Checkpoints stay one record per parameter name, moments included;
+save_checkpoint writes each payload from the array's own buffer (zeros when
+the model has no optimiser). load_checkpoint reads the file once, each
+payload straight into the array the rebuilt model keeps. By default it reads
+the weights only, which is all inference needs: the moment records are
+checked and skipped. `optimizer=True` reads them into a fresh arena, for
+resuming training.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import sys
@@ -109,38 +117,44 @@ def _aligned_zeros(count: int) -> np.ndarray:
 
 
 class ParameterArena:
-    """Every parameter's values, gradient and Adam moments in four flat buffers.
+    """The Adam optimiser's state over every parameter, in four flat buffers.
 
-    Building it copies each parameter, in the given order, into float64
-    buffers and rebinds its values, gradient and moments to views of them, so
-    adam_step runs over whole buffers and every backward pass accumulates
-    into gradient buffers that persist from step to step. The gaps that align
-    each view hold zeros, which Adam keeps at zero. The parameters share one
-    Adam step count; parameters at different counts are rejected, as no one
-    optimiser produced them.
+    Building it copies each parameter's values, in the given order, into a
+    flat float64 buffer and rebinds the parameter's values and gradient to
+    views of it and of a gradient buffer, so adam_step runs over whole
+    buffers and every backward pass accumulates into gradient buffers that
+    persist from step to step. The Adam moments `adam_m`, `adam_v` and the
+    step count live here only; they start at zero. The gaps that align each
+    view hold zeros, which Adam keeps at zero. The values are copied before
+    the other three buffers are made, so building it never holds the
+    parameters' own arrays beside all four buffers.
     """
 
     def __init__(self, params: list[Parameter]):
-        steps = {p.step_count for p in params}
-        if len(steps) > 1:
-            raise DataFormatError(
-                f"parameters are at different Adam steps {sorted(steps)}; "
-                "one optimiser keeps one step count")
         self.params = list(params)
-        self.step_count = steps.pop() if steps else 0
+        self.step_count = 0
         align = ARENA_ALIGN_BYTES // 8
-        starts = np.cumsum([0] + [-(-p.values.size // align) * align for p in self.params])
-        self.values, self.grad, self.adam_m, self.adam_v = (
-            _aligned_zeros(int(starts[-1])) for _ in range(4))
-        for p, start in zip(self.params, starts):
-            stop, shape = start + p.values.size, p.values.shape
-            self.values[start:stop] = p.values.reshape(-1)
-            self.adam_m[start:stop] = p.adam_m.reshape(-1)
-            self.adam_v[start:stop] = p.adam_v.reshape(-1)
-            p.tensor.values = self.values[start:stop].reshape(shape)
-            p.tensor.grad = self.grad[start:stop].reshape(shape)
-            p.adam_m = self.adam_m[start:stop].reshape(shape)
-            p.adam_v = self.adam_v[start:stop].reshape(shape)
+        self.starts = [0]
+        for p in self.params:
+            self.starts.append(self.starts[-1] + -(-p.values.size // align) * align)
+        self.values = _aligned_zeros(self.starts[-1])
+        for p, values in zip(self.params, self.views(self.values)):
+            values[...] = p.values
+            p.tensor.values = values   # the parameter's own array is freed here
+        self.grad, self.adam_m, self.adam_v = (
+            _aligned_zeros(self.starts[-1]) for _ in range(3))
+        for p, grad in zip(self.params, self.views(self.grad)):
+            p.tensor.grad = grad
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each parameter's view of one of the flat buffers, in order."""
+        return [flat[start:start + p.values.size].reshape(p.values.shape)
+                for p, start in zip(self.params, self.starts)]
+
+    def moments(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Each parameter's views of the Adam m and v buffers, by name."""
+        return {p.name: pair for p, pair in zip(
+            self.params, zip(self.views(self.adam_m), self.views(self.adam_v)))}
 
 
 # Bytes of one block of adam_step's pass: the block of each flat buffer and
@@ -187,8 +201,6 @@ def adam_step(arena: ParameterArena, config: TrainConfig, grad_scale: float = 1.
         term *= config.lr
         term /= g
         values -= term
-    for p in arena.params:
-        p.step_count = arena.step_count
 
 
 def zero_grads(params: list[Parameter]) -> None:
@@ -200,7 +212,12 @@ def zero_grads(params: list[Parameter]) -> None:
 def train(dataset: list[SkeletonSequence], config: TrainConfig,
           model: ActionDetector | None = None,
           progress=None) -> tuple[ActionDetector, list[EpochMetrics]]:
-    """Train on a dataset of labelled sequences; returns model + epoch log."""
+    """Train on a dataset of labelled sequences; returns model + epoch log.
+
+    Adam continues from `model.optimizer` when the model has one (an earlier
+    `train` call, or `load_checkpoint(path, optimizer=True)`); otherwise a
+    fresh arena starts at step 1, which fine-tunes a weights-only load.
+    """
     config.validate()
     if not dataset:
         raise DataFormatError("training dataset is empty")
@@ -213,8 +230,10 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
     videos = [(model.prepare_clips(seq), np.asarray(seq.labels), seq.video_id)
               for seq in dataset]
     shuffle_rng = np.random.default_rng(config.seed ^ 0x5EED)
-    params = model.parameters()
-    arena = ParameterArena(params)
+    if model.optimizer is None:
+        model.optimizer = ParameterArena(model.parameters())
+    arena = model.optimizer
+    params = arena.params
     metrics: list[EpochMetrics] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -269,16 +288,34 @@ def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
 #   per parameter: record(values), record(adam_m), record(adam_v), step u64
 # where record = name length u32, UTF-8 name, rank u32, dims u32[rank],
 # float64 payload. Payloads are written from the arrays' own buffers and
-# read back into the arrays of a freshly built model.
+# read back into the arrays of a freshly built model. The Adam moments and
+# step come from the model's optimiser (zeros and step 0 without one); a
+# weights-only load checks each moment record's name, shape and length and
+# seeks past its payload.
 # ---------------------------------------------------------------------------
 
-def _write_record(handle, name: str, array: np.ndarray) -> None:
+# Largest zero block written at once for the moments of a model that has no
+# optimiser, so saving it needs no parameter-sized buffer of zeros.
+_ZERO_BLOCK_BYTES = 256 * 1024
+
+
+def _write_record(handle, name: str, shape: tuple[int, ...],
+                  array: np.ndarray | None) -> None:
+    """One record; with `array` None its payload is zeros."""
     encoded = name.encode("utf-8")
     handle.write(struct.pack("<I", len(encoded)))
     handle.write(encoded)
-    handle.write(struct.pack("<I", array.ndim))
-    handle.write(struct.pack(f"<{array.ndim}I", *array.shape))
-    handle.write(memoryview(np.asarray(array, dtype="<f8", order="C")))
+    handle.write(struct.pack("<I", len(shape)))
+    handle.write(struct.pack(f"<{len(shape)}I", *shape))
+    if array is not None:
+        handle.write(memoryview(np.asarray(array, dtype="<f8", order="C")))
+        return
+    left = 8 * math.prod(shape)
+    zeros = memoryview(bytes(min(left, _ZERO_BLOCK_BYTES)))
+    while left:
+        chunk = min(left, len(zeros))
+        handle.write(zeros[:chunk])
+        left -= chunk
 
 
 class _Reader:
@@ -319,27 +356,38 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{self.path}: {what} is not UTF-8: {exc}") from exc
 
-    def record_into(self, name: str, array: np.ndarray) -> None:
-        """Read the record `name` into `array`, whose shape it must have."""
+    def record(self, name: str, shape: tuple[int, ...],
+               into: np.ndarray | None = None) -> None:
+        """Check that the record `name` has `shape` and that its payload is
+        all there; read the payload into `into`, or seek past it."""
         rank = self.u32()
         dims = struct.unpack(f"<{rank}I", self.take(4 * rank))
-        if dims != array.shape:
+        if dims != shape:
             raise DataFormatError(
-                f"{self.path}: shape mismatch for {name!r}: {dims} vs {array.shape}")
-        view = memoryview(array).cast("B")
-        self._advance(view.nbytes)
-        if self.handle.readinto(view) != view.nbytes:
+                f"{self.path}: shape mismatch for {name!r}: {dims} vs {shape}")
+        nbytes = 8 * math.prod(shape)
+        self._advance(nbytes)
+        if into is None:
+            self.handle.seek(nbytes, os.SEEK_CUR)
+            return
+        if self.handle.readinto(memoryview(into).cast("B")) != nbytes:
             raise DataFormatError(f"{self.path}: truncated checkpoint")
         if sys.byteorder == "big":
-            array.byteswap(inplace=True)
+            into.byteswap(inplace=True)
 
 
 def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
     """Write to a temporary file beside `path`, sync it to disk, then rename
     it into place, so after a process crash or a power loss `path` holds
-    either its old contents or the whole new checkpoint."""
+    either its old contents or the whole new checkpoint.
+
+    The Adam moments and step come from `model.optimizer`; a model without
+    one is saved with zero moments at step 0, as a freshly built one was."""
     config_blob = json.dumps(train_config_to_dict(model.config),
                              sort_keys=True).encode("utf-8")
+    optimizer = model.optimizer
+    moments = {} if optimizer is None else optimizer.moments()
+    step = 0 if optimizer is None else optimizer.step_count
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -352,10 +400,11 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
             handle.write(struct.pack("<Q", model.config.seed))
             handle.write(struct.pack("<I", len(model.params)))
             for name, param in model.params.items():
-                _write_record(handle, name, param.values)
-                _write_record(handle, name + ".adam_m", param.adam_m)
-                _write_record(handle, name + ".adam_v", param.adam_v)
-                handle.write(struct.pack("<Q", param.step_count))
+                adam_m, adam_v = moments.get(name, (None, None))
+                _write_record(handle, name, param.values.shape, param.values)
+                _write_record(handle, name + ".adam_m", param.values.shape, adam_m)
+                _write_record(handle, name + ".adam_v", param.values.shape, adam_v)
+                handle.write(struct.pack("<Q", step))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -363,22 +412,27 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path) -> tuple[ActionDetector, int]:
+def load_checkpoint(path, *, optimizer: bool = False) -> tuple[ActionDetector, int]:
     """Rebuild the model a checkpoint was saved from; returns (model, epoch).
 
-    The file is read once, front to back: the header builds the model, and
-    each record's payload is read straight into the array the model keeps.
-    A missing, unreadable or malformed file raises DataFormatError and leaves
-    no model behind.
+    The file is read once, front to back: the header builds the model
+    without its random initialisation, and each weight record's payload is
+    read straight into the array the model keeps. By default the Adam
+    moment records are checked (name, shape, length) and skipped, and the
+    model has no optimiser: inference needs the weights only, and training
+    such a model starts Adam afresh. With `optimizer=True` the moments and
+    the step count are read into a fresh ParameterArena, `model.optimizer`,
+    so training resumes where it stopped. Either way a missing, unreadable
+    or malformed file raises DataFormatError and leaves no model behind.
     """
     try:
         with open(path, "rb") as handle:
-            return _read_checkpoint(_Reader(handle, path))
+            return _read_checkpoint(_Reader(handle, path), optimizer)
     except OSError as exc:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _read_checkpoint(reader: _Reader) -> tuple[ActionDetector, int]:
+def _read_checkpoint(reader: _Reader, optimizer: bool) -> tuple[ActionDetector, int]:
     path = reader.path
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
@@ -396,24 +450,37 @@ def _read_checkpoint(reader: _Reader) -> tuple[ActionDetector, int]:
     epoch = reader.u32()
     reader.u64()  # seed, already inside the config snapshot
     count = reader.u32()
-    model = ActionDetector(train_config_from_dict(config))
+    # every weight is overwritten below: the loader rejects a file that does
+    # not name every parameter
+    model = ActionDetector(train_config_from_dict(config), initialise=False)
+    arena = ParameterArena(model.parameters()) if optimizer else None
+    moments = {} if arena is None else arena.moments()
 
     loaded: set[str] = set()
+    steps: set[int] = set()
     for _ in range(count):
         name = reader.text("record name")
         param = model.params.get(name)
         if param is None or name in loaded:
             raise DataFormatError(f"{path}: parameter names do not match the config")
         loaded.add(name)
-        reader.record_into(name, param.tensor.values)
-        for suffix, moment in ((".adam_m", param.adam_m), (".adam_v", param.adam_v)):
+        shape = param.values.shape
+        reader.record(name, shape, param.values)
+        for suffix, moment in zip((".adam_m", ".adam_v"), moments.get(name, (None, None))):
             if reader.text("record name") != name + suffix:
                 raise DataFormatError(f"{path}: malformed optimiser records for {name!r}")
-            reader.record_into(name + suffix, moment)
-        param.step_count = reader.u64()
+            reader.record(name + suffix, shape, moment)
+        steps.add(reader.u64())
     trailing = reader.size - reader.offset
     if trailing:
         raise DataFormatError(f"{path}: {trailing} unexpected bytes after the last record")
     if loaded != set(model.params):
         raise DataFormatError(f"{path}: parameter names do not match the config")
+    if len(steps) > 1:
+        raise DataFormatError(
+            f"{path}: parameters are at different Adam steps {sorted(steps)}; "
+            "one optimiser keeps one step count")
+    if arena is not None:
+        arena.step_count = steps.pop()
+        model.optimizer = arena
     return model, epoch

@@ -56,11 +56,12 @@ def checkpoint_field_ranges(blob: bytes, model: ActionDetector) -> list[tuple[in
 def corrupt_saved_checkpoint(blob: bytes, model: ActionDetector, kind: str) -> bytes:
     """`model`'s saved checkpoint `blob` with one field made malformed: the
     config not UTF-8, not JSON or not a JSON object, the first parameter's
-    name not UTF-8, or the first dim of its adam_m record one too large."""
+    name not UTF-8, the first dim of its adam_m record one too large, or its
+    Adam step one more than the others'."""
     config_stop = 12 + int.from_bytes(blob[8:12], "little")
     if kind == "config-not-object":
         return blob[:8] + (3).to_bytes(4, "little") + b"[1]" + blob[config_stop:]
-    values_record, moment_record = checkpoint_field_ranges(blob, model)[1:3]
+    values_record, moment_record, _, step = checkpoint_field_ranges(blob, model)[1:5]
     corrupted = bytearray(blob)
     if kind == "config-not-utf8":
         corrupted[12] = 0xFF
@@ -72,6 +73,9 @@ def corrupt_saved_checkpoint(blob: bytes, model: ActionDetector, kind: str) -> b
         dim = moment_record[0] + 8 + len(next(iter(model.params)) + ".adam_m")
         corrupted[dim:dim + 4] = (int.from_bytes(blob[dim:dim + 4], "little")
                                   + 1).to_bytes(4, "little")
+    elif kind == "step-mismatch":
+        corrupted[step[0]:step[1]] = (int.from_bytes(blob[step[0]:step[1]], "little")
+                                      + 1).to_bytes(8, "little")
     else:
         raise ValueError(f"unknown corruption {kind!r}")
     return bytes(corrupted)

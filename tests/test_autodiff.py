@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wogma import autodiff as ad
-from wogma.autodiff import DTensor, Parameter, Tape
+from wogma.autodiff import DTensor, Tape
 from wogma.errors import ConfigurationError, NumericalError
 from wogma.oamb import OnlineBranch
 from lstm_oracle import per_step_timeline
@@ -297,13 +297,6 @@ def test_backward_requires_scalar():
         y = ad.scale(x, 2.0)
     with pytest.raises(ad.ShapeError):
         tape.backward(y)
-
-
-def test_parameter_buffers_zero_initialised():
-    p = Parameter(np.ones((2, 2)), name="w")
-    assert np.array_equal(p.adam_m, np.zeros((2, 2)))
-    assert np.array_equal(p.adam_v, np.zeros((2, 2)))
-    assert p.step_count == 0
 
 
 def test_zero_grad_drops_owned_buffer_and_zeroes_view_in_place():

@@ -147,6 +147,29 @@ def test_train_eval_plot_pipeline(tmp_path, capsys):
     ET.fromstring(timeline_svgs[0].read_text())
 
 
+def test_early_curve_csv_reads_back_as_the_report_curve(tmp_path, monkeypatch, capsys):
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    data = tmp_path / "d.jsonl"
+    write_dataset(data)
+    reports = []
+    evaluate = cli.evaluate
+
+    def keep_report(*args):
+        report, results = evaluate(*args)
+        reports.append(report)
+        return report, results
+
+    monkeypatch.setattr(cli, "evaluate", keep_report)
+    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data, "--out-dir",
+                    tmp_path / "out", "--fractions", "0.1,0.3333333333333333,1.0"]) == 0
+    text = (tmp_path / "out" / "early_curve.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert "\r" not in text and rows[0] == ["fraction", "auc"]
+    assert [(float(f), float(a)) for f, a in rows[1:]] == reports[0].early_curve
+    assert len(reports[0].early_curve) == 3
+
+
 def test_train_determinism_same_seed(tmp_path):
     data = tmp_path / "train.jsonl"
     write_dataset(data)

@@ -214,6 +214,46 @@ def test_extract_instances_threshold_monotonicity():
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
+def brute_force_runs(column, threshold):
+    """(first, last) 0-based clip of every maximal run of entries >= threshold,
+    found by trying every span."""
+    above = [v >= threshold for v in column]
+    count = len(column)
+    return [(i, j) for i in range(count) for j in range(i, count)
+            if all(above[i:j + 1]) and (i == 0 or not above[i - 1])
+            and (j == count - 1 or not above[j + 1])]
+
+
+# a coarse grid puts entries exactly on the threshold and makes equal scores
+probability = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                        st.floats(0.0, 1.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), count=st.integers(0, 30), classes=st.integers(1, 3),
+       threshold=probability, tau=st.integers(1, 25), stride=st.integers(1, 25))
+def test_extract_instances_equals_brute_force_runs(data, count, classes, threshold,
+                                                    tau, stride):
+    timeline = np.array(data.draw(st.lists(st.lists(probability, min_size=classes + 1,
+                                                     max_size=classes + 1),
+                                            min_size=count, max_size=count)),
+                        dtype=float).reshape(count, classes + 1)
+    instances = oamb.extract_instances(timeline, threshold, ClipWindowing(tau, stride))
+    expected = {}
+    for label in range(1, classes + 1):
+        column = timeline[:, label].tolist()
+        for first, last in brute_force_runs(column, threshold):
+            span = (first * stride + 1, last * stride + tau, label)
+            expected[span] = math.fsum(column[first:last + 1]) / (last - first + 1)
+    got = {(i.start_frame, i.end_frame, i.label): i.score for i in instances}
+    assert len(got) == len(instances)
+    assert got.keys() == expected.keys()
+    for span, score in got.items():
+        assert score == pytest.approx(expected[span], rel=1e-12, abs=1e-15)
+    keys = [(-i.score, i.start_frame, i.label) for i in instances]
+    assert keys == sorted(keys)
+
+
 def test_stream_record_format():
     record = oamb.stream_record(3, WINDOW, np.array([0.25, 0.75]))
     assert record == {"clip": 3, "start_frame": 41, "end_frame": 60,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adam_oracle import per_parameter_adam_step
+from adam_oracle import PerParameterAdam
 from conftest import (checkpoint_field_ranges, corrupt_saved_checkpoint, micro_clips,
                       micro_config, micro_model)
 from lstm_oracle import per_step_timeline
@@ -41,7 +41,7 @@ def test_adam_first_step_is_signed_lr():
     config = micro_config(lr=1e-3, weight_decay=0.0)
     tr.adam_step(arena, config)
     np.testing.assert_allclose(p.values, [0.5 - 1e-3, -0.5 + 1e-3], rtol=1e-6)
-    assert p.step_count == 1
+    assert arena.step_count == 1
 
 
 def test_adam_weight_decay_pulls_towards_zero():
@@ -64,55 +64,57 @@ def test_arena_adam_equals_per_parameter_oracle(shapes, seed, steps, grad_scale,
                                                 weight_decay, block_elements):
     rng = np.random.default_rng(seed)
     initial = [rng.standard_normal(shape) for shape in shapes]
-    oracle = [Parameter(np.array(a)) for a in initial]
+    oracle = PerParameterAdam(Parameter(np.array(a)) for a in initial)
     params = [Parameter(np.array(a)) for a in initial]
     arena = tr.ParameterArena(params)
     config = micro_config(lr=1e-2, weight_decay=weight_decay)
     # blocks of a few elements straddle the parameters' boundaries
     with mock.patch.object(tr, "ADAM_BLOCK_BYTES", 8 * block_elements):
         for _ in range(steps):
-            for expected, p in zip(oracle, params):
+            for expected, p in zip(oracle.params, params):
                 if rng.random() < 0.3:  # this parameter received no gradient
                     expected.tensor.grad = None
                 else:
                     expected.tensor.grad = rng.standard_normal(p.values.shape)
                     p.tensor.grad[...] = expected.tensor.grad
-            per_parameter_adam_step(oracle, config, grad_scale)
+            oracle.step(config, grad_scale)
             tr.adam_step(arena, config, grad_scale)
             tr.zero_grads(params)
-    for expected, p in zip(oracle, params):
-        for want, got in ((expected.values, p.values), (expected.adam_m, p.adam_m),
-                          (expected.adam_v, p.adam_v)):
-            assert want.shape == got.shape
-            assert want.tobytes() == got.tobytes()
-        assert expected.step_count == p.step_count == steps
+    for want, got in (([p.values for p in oracle.params], [p.values for p in params]),
+                      (oracle.adam_m, arena.views(arena.adam_m)),
+                      (oracle.adam_v, arena.views(arena.adam_v))):
+        for expected, actual in zip(want, got):
+            assert expected.shape == actual.shape
+            assert expected.tobytes() == actual.tobytes()
+    assert oracle.step_count == arena.step_count == steps
+
+
+def test_arena_moments_zero_initialised():
+    p = Parameter(np.ones((2, 2)), name="w")
+    assert Parameter.__slots__ == ("name", "tensor")   # no optimiser state
+    arena = tr.ParameterArena([p])
+    adam_m, adam_v = arena.moments()["w"]
+    assert np.array_equal(adam_m, np.zeros((2, 2)))
+    assert np.array_equal(adam_v, np.zeros((2, 2)))
+    assert arena.step_count == 0
 
 
 def test_arena_keeps_values_moments_and_step_count():
     rng = np.random.default_rng(4)
-    params = [Parameter(rng.standard_normal(shape)) for shape in ((2, 3), (), (4,))]
-    for p in params:
-        p.adam_m[...] = rng.standard_normal(p.values.shape)
-        p.adam_v[...] = rng.random(p.values.shape)
-        p.step_count = 7
-    before = [(p.values.copy(), p.adam_m.copy(), p.adam_v.copy()) for p in params]
+    params = [Parameter(rng.standard_normal(shape), name)
+              for shape, name in (((2, 3), "a"), ((), "b"), ((4,), "c"))]
+    before = [p.values.copy() for p in params]
     arena = tr.ParameterArena(params)
-    assert arena.step_count == 7
-    for p, (values, adam_m, adam_v) in zip(params, before):
+    moments = arena.moments()
+    assert list(moments) == [p.name for p in params]
+    for p, values in zip(params, before):
         assert p.values.tobytes() == values.tobytes()
-        assert p.adam_m.tobytes() == adam_m.tobytes()
-        assert p.adam_v.tobytes() == adam_v.tobytes()
+        adam_m, adam_v = moments[p.name]
         for view, flat in ((p.values, arena.values), (p.tensor.grad, arena.grad),
-                           (p.adam_m, arena.adam_m), (p.adam_v, arena.adam_v)):
+                           (adam_m, arena.adam_m), (adam_v, arena.adam_v)):
             assert view.shape == values.shape and np.shares_memory(view, flat)
             assert view.ctypes.data % tr.ARENA_ALIGN_BYTES == 0
-
-
-def test_arena_rejects_parameters_at_different_steps():
-    first, second = Parameter(np.ones(2)), Parameter(np.ones(3))
-    second.step_count = 1
-    with pytest.raises(DataFormatError, match="different Adam steps"):
-        tr.ParameterArena([first, second])
+    assert arena.step_count == 0
 
 
 def test_adam_step_makes_no_parameter_sized_temporary():
@@ -230,12 +232,15 @@ def test_continued_training_keeps_optimiser_state(tmp_path, small_training_confi
     data = small_dataset(n_videos=4)
     model, _ = tr.train(data, config)
     tr.save_checkpoint(tmp_path / "first.bin", model, epoch=1)
-    loaded, _ = tr.load_checkpoint(tmp_path / "first.bin")
+    loaded, _ = tr.load_checkpoint(tmp_path / "first.bin", optimizer=True)
+    assert loaded.optimizer.step_count == len(data)
     outputs = []
     for start in (model, loaded):
+        arena = start.optimizer
         resumed, _ = tr.train(data, config, model=start)
+        assert resumed.optimizer is arena   # reused, not rebuilt
+        assert arena.step_count == 2 * len(data)
         params = resumed.parameters()
-        assert all(p.step_count == 2 * len(data) for p in params)
         tr.zero_grads(params)
         arena_grad = params[0].tensor.grad.base
         assert arena_grad is not None
@@ -243,6 +248,49 @@ def test_continued_training_keeps_optimiser_state(tmp_path, small_training_confi
         tr.save_checkpoint(tmp_path / "resumed.bin", resumed, epoch=2)
         outputs.append((tmp_path / "resumed.bin").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_weights_only_load_trains_from_adam_step_one(tmp_path, small_training_config):
+    # a weights-only load has no optimiser: training it fine-tunes from the
+    # weights with fresh moments, exactly as dropping a model's optimiser does
+    config = dataclasses.replace(small_training_config, epochs=1)
+    data = small_dataset(n_videos=4)
+    model, _ = tr.train(data, config)
+    tr.save_checkpoint(tmp_path / "first.bin", model, epoch=1)
+    loaded, _ = tr.load_checkpoint(tmp_path / "first.bin")
+    assert loaded.optimizer is None
+    outputs = []
+    for start in (loaded, model):
+        start.optimizer = None
+        resumed, _ = tr.train(data, config, model=start)
+        assert resumed.optimizer.step_count == len(data)
+        tr.save_checkpoint(tmp_path / "fine-tuned.bin", resumed, epoch=2)
+        outputs.append((tmp_path / "fine-tuned.bin").read_bytes())
+    assert outputs[0] == outputs[1]
+    resumed, _ = tr.train(data, config, model=tr.load_checkpoint(tmp_path / "first.bin",
+                                                                 optimizer=True)[0])
+    tr.save_checkpoint(tmp_path / "resumed.bin", resumed, epoch=2)
+    assert (tmp_path / "resumed.bin").read_bytes() != outputs[0]
+
+
+def test_model_without_optimizer_saves_zero_moments(tmp_path, small_training_config):
+    config = dataclasses.replace(small_training_config, epochs=1)
+    model, _ = tr.train(small_dataset(n_videos=2), config)
+    tr.save_checkpoint(tmp_path / "trained.bin", model, epoch=1)
+    loaded, _ = tr.load_checkpoint(tmp_path / "trained.bin")
+    tr.save_checkpoint(tmp_path / "weights.bin", loaded, epoch=1)
+    again, _ = tr.load_checkpoint(tmp_path / "weights.bin", optimizer=True)
+    arena = again.optimizer
+    assert arena.step_count == 0
+    assert not arena.adam_m.any() and not arena.adam_v.any()
+    for name, param in model.params.items():
+        assert again.params[name].values.tobytes() == param.values.tobytes()
+    # an untrained model's file is unchanged by the round trip
+    untrained = ActionDetector(config)
+    tr.save_checkpoint(tmp_path / "untrained.bin", untrained, epoch=0)
+    tr.save_checkpoint(tmp_path / "again.bin",
+                       tr.load_checkpoint(tmp_path / "untrained.bin")[0], epoch=0)
+    assert (tmp_path / "untrained.bin").read_bytes() == (tmp_path / "again.bin").read_bytes()
 
 
 def test_metrics_csv_format(tmp_path):
@@ -260,17 +308,22 @@ def test_checkpoint_round_trip(tmp_path, small_training_config):
     model, _ = tr.train(data, small_training_config)
     path = tmp_path / "ck.bin"
     tr.save_checkpoint(path, model, epoch=2)
-    loaded, epoch = tr.load_checkpoint(path)
+    loaded, epoch = tr.load_checkpoint(path, optimizer=True)
     assert epoch == 2
     assert loaded.config == model.config
     for name in model.params:
         np.testing.assert_array_equal(loaded.params[name].values,
                                       model.params[name].values)
-        np.testing.assert_array_equal(loaded.params[name].adam_m,
-                                      model.params[name].adam_m)
-        np.testing.assert_array_equal(loaded.params[name].adam_v,
-                                      model.params[name].adam_v)
-        assert loaded.params[name].step_count == model.params[name].step_count
+    loaded_moments = loaded.optimizer.moments()
+    for name, (adam_m, adam_v) in model.optimizer.moments().items():
+        np.testing.assert_array_equal(loaded_moments[name][0], adam_m)
+        np.testing.assert_array_equal(loaded_moments[name][1], adam_v)
+    assert loaded.optimizer.step_count == model.optimizer.step_count
+    weights, _ = tr.load_checkpoint(path)
+    assert weights.optimizer is None
+    for name in model.params:
+        np.testing.assert_array_equal(weights.params[name].values,
+                                      model.params[name].values)
 
 
 def test_checkpoint_save_load_save_byte_identical(tmp_path, small_training_config):
@@ -279,7 +332,7 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path, small_training_confi
     first = tmp_path / "a.bin"
     second = tmp_path / "b.bin"
     tr.save_checkpoint(first, model, epoch=2)
-    loaded, epoch = tr.load_checkpoint(first)
+    loaded, epoch = tr.load_checkpoint(first, optimizer=True)
     tr.save_checkpoint(second, loaded, epoch=epoch)
     assert first.read_bytes() == second.read_bytes()
 
@@ -295,14 +348,20 @@ def test_checkpoint_inference_identical_after_reload(tmp_path, small_training_co
                                   loaded.infer_timeline(clips))
 
 
+# every robustness test loads in both modes: weights only (the moment
+# payloads are skipped, not read) and with the optimiser
+LOAD_MODES = (False, True)
+
+
 def test_checkpoint_truncated_file_errors(tmp_path, small_training_config):
     model = ActionDetector(small_training_config)
     path = tmp_path / "ck.bin"
     tr.save_checkpoint(path, model, epoch=0)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) // 2])
-    with pytest.raises(DataFormatError, match="truncated"):
-        tr.load_checkpoint(path)
+    for optimizer in LOAD_MODES:
+        with pytest.raises(DataFormatError, match="truncated"):
+            tr.load_checkpoint(path, optimizer=optimizer)
 
 
 def test_checkpoint_trailing_byte_errors(tmp_path, small_training_config):
@@ -310,8 +369,9 @@ def test_checkpoint_trailing_byte_errors(tmp_path, small_training_config):
     path = tmp_path / "ck.bin"
     tr.save_checkpoint(path, model, epoch=0)
     path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(DataFormatError, match="1 unexpected bytes after the last record"):
-        tr.load_checkpoint(path)
+    for optimizer in LOAD_MODES:
+        with pytest.raises(DataFormatError, match="1 unexpected bytes after the last record"):
+            tr.load_checkpoint(path, optimizer=optimizer)
 
 
 def test_checkpoint_failed_save_keeps_old_file(tmp_path, small_training_config,
@@ -367,8 +427,9 @@ def tiny_checkpoint(tmp_path_factory):
 def test_checkpoint_any_truncation_raises_data_format_error(tiny_checkpoint, data):
     path, blob, _ = tiny_checkpoint
     path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
-    with pytest.raises(DataFormatError):
-        tr.load_checkpoint(path)
+    for optimizer in LOAD_MODES:
+        with pytest.raises(DataFormatError):
+            tr.load_checkpoint(path, optimizer=optimizer)
 
 
 @settings(max_examples=400, deadline=None)
@@ -381,10 +442,11 @@ def test_checkpoint_any_byte_overwrite_loads_or_raises_a_documented_error(
     corrupted = bytearray(blob)
     corrupted[position] = value
     path.write_bytes(bytes(corrupted))
-    try:
-        tr.load_checkpoint(path)
-    except (DataFormatError, ConfigurationError):
-        pass
+    for optimizer in LOAD_MODES:
+        try:
+            tr.load_checkpoint(path, optimizer=optimizer)
+        except (DataFormatError, ConfigurationError):
+            pass
 
 
 def test_checkpoint_missing_file_errors(tmp_path):
@@ -399,14 +461,27 @@ def test_checkpoint_missing_file_errors(tmp_path):
     ("config-not-object", "config must be a JSON object"),
     ("name-not-utf8", "record name is not UTF-8"),
     ("moment-shape", r"shape mismatch for '[^']*\.adam_m'"),
+    ("step-mismatch", "different Adam steps"),
 ])
 def test_checkpoint_malformed_field_errors(tmp_path, kind, message):
     model = ActionDetector(micro_config())
     path = tmp_path / "ck.bin"
     tr.save_checkpoint(path, model, epoch=0)
     path.write_bytes(corrupt_saved_checkpoint(path.read_bytes(), model, kind))
-    with pytest.raises(DataFormatError, match=message):
-        tr.load_checkpoint(path)
+    for optimizer in LOAD_MODES:
+        with pytest.raises(DataFormatError, match=message):
+            tr.load_checkpoint(path, optimizer=optimizer)
+
+
+def traced_peak(action) -> int:
+    """Peak bytes that tracemalloc sees while `action()` runs."""
+    tracemalloc.start()
+    try:
+        action()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_load_checkpoint_holds_no_copy_of_the_records(tmp_path):
@@ -415,13 +490,48 @@ def test_load_checkpoint_holds_no_copy_of_the_records(tmp_path):
     model = ActionDetector(TrainConfig(hidden=256, seed=1))
     path = tmp_path / "ck.bin"
     tr.save_checkpoint(path, model, epoch=0)
-    model_bytes = sum(p.values.nbytes + p.adam_m.nbytes + p.adam_v.nbytes
-                      for p in model.parameters())
+    # values, adam_m and adam_v: each moment record has its values' shape
+    model_bytes = sum(3 * p.values.nbytes for p in model.parameters())
     del model
-    tracemalloc.start()
-    try:
-        tr.load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: tr.load_checkpoint(path))
     assert peak <= 1.1 * model_bytes
+
+
+HIDDEN_256 = TrainConfig(hidden=256, seed=1)
+
+
+def test_building_the_model_holds_only_its_values():
+    # no Adam moments and no initialisation temporaries
+    values_bytes = sum(p.values.nbytes for p in ActionDetector(HIDDEN_256).parameters())
+    assert traced_peak(lambda: ActionDetector(HIDDEN_256)) <= 1.1 * values_bytes
+
+
+def test_weights_only_load_holds_only_the_values(tmp_path):
+    # the moment payloads are skipped and the weights are read into arrays
+    # that were never initialised
+    model = ActionDetector(HIDDEN_256)
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, model, epoch=0)
+    values_bytes = sum(p.values.nbytes for p in model.parameters())
+    del model
+    assert traced_peak(lambda: tr.load_checkpoint(path)) <= 1.1 * values_bytes
+
+
+def test_optimizer_load_holds_only_the_arena(tmp_path):
+    # the moments are read straight into the arena's buffers; the model's
+    # own value arrays are freed as the arena takes each one over
+    model = ActionDetector(HIDDEN_256)
+    path = tmp_path / "ck.bin"
+    tr.save_checkpoint(path, model, epoch=0)
+    arena = tr.ParameterArena(model.parameters())
+    arena_bytes = sum(flat.nbytes for flat in (arena.values, arena.grad,
+                                               arena.adam_m, arena.adam_v))
+    del model, arena
+    assert traced_peak(lambda: tr.load_checkpoint(path, optimizer=True)) <= 1.1 * arena_bytes
+
+
+def test_saving_without_optimizer_makes_no_parameter_sized_buffer(tmp_path):
+    model = ActionDetector(HIDDEN_256)
+    largest = max(p.values.nbytes for p in model.parameters())
+    peak = traced_peak(lambda: tr.save_checkpoint(tmp_path / "ck.bin", model, epoch=0))
+    assert peak < 2 * tr._ZERO_BLOCK_BYTES < largest
