@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import plots
-from .config import (RunConfig, fallback_seed, load_run_config)
-from .dataset import SkeletonSequence, SynthParams, load_sequences, save_sequences, synthesize
+from .config import RunConfig, fallback_seed, read_config_file, run_config_from_dict
+from .dataset import CHANNELS, SynthParams, load_sequences, save_sequences, synthesize
 from .errors import ConfigurationError, DataFormatError, NumericalError
 from .evaluation import evaluate
 from .oamb import extract_instances, stream_record
@@ -128,13 +128,9 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_run(args) -> RunConfig:
-    if args.config is not None:
-        run = load_run_config(args.config)
-        file_had_seed = "seed" in json.loads(Path(args.config).read_text())
-    else:
-        run = RunConfig()
-        file_had_seed = False
-    overrides = {"epochs": args.epochs, "seed": None, "lr": args.lr,
+    raw = {} if args.config is None else read_config_file(args.config)
+    run = run_config_from_dict(raw)
+    overrides = {"epochs": args.epochs, "lr": args.lr,
                  "hidden": args.hidden, "max_frames": args.max_frames,
                  "batch_size": args.batch_size}
     train_cfg = run.train
@@ -145,7 +141,7 @@ def _load_run(args) -> RunConfig:
         if getattr(args, flag):
             train_cfg = dataclasses.replace(train_cfg, **{flag: True})
     train_cfg = dataclasses.replace(
-        train_cfg, seed=_resolve_seed(args.seed, file_had_seed, train_cfg.seed))
+        train_cfg, seed=_resolve_seed(args.seed, "seed" in raw, train_cfg.seed))
     run.train = train_cfg.validate()
     if args.data is not None:
         run.train_data = args.data
@@ -178,7 +174,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_sequences(args.data)
-    run = RunConfig(train=model.config, eval_data=args.data, out_dir=args.out_dir,
+    run = RunConfig(train=model.config, out_dir=args.out_dir,
                     instance_threshold=args.instance_threshold)
     if args.fractions is not None:
         try:
@@ -238,8 +234,7 @@ def cmd_detect(args) -> int:
                 clip = np.asarray(obj["frames"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
-            expected = (model.config.tau, model.skeleton.joint_count,
-                        model.config.input_channels)
+            expected = (model.config.tau, model.skeleton.joint_count, CHANNELS)
             if clip.shape != expected:
                 raise DataFormatError(
                     f"clip line {lineno}: shape {clip.shape} does not match {expected}")

@@ -46,7 +46,6 @@ class TrainConfig:
     feature_dim: int = 64
     conv_layers: int = 2
     conv_kernel: int = 3
-    input_channels: int = 3
 
     def validate(self) -> "TrainConfig":
         for name in ("theta_class", "theta_score"):
@@ -54,8 +53,7 @@ class TrainConfig:
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
         for name in ("tau", "stride", "kappa", "epochs", "max_frames", "hidden", "n_c",
-                     "batch_size", "gcn_channels", "gcn_layers", "feature_dim", "conv_layers",
-                     "input_channels"):
+                     "batch_size", "gcn_channels", "gcn_layers", "feature_dim", "conv_layers"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
@@ -79,7 +77,6 @@ class RunConfig:
 
     train: TrainConfig = field(default_factory=TrainConfig)
     train_data: str = "train.jsonl"
-    eval_data: str = "test.jsonl"
     out_dir: str = "out"
     eval_fractions: list[float] = field(
         default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
@@ -127,7 +124,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
         raise ConfigurationError(str(exc)) from exc
 
 
-def load_run_config(path) -> RunConfig:
+def read_config_file(path) -> dict:
+    """The JSON object a RunConfig file holds; run_config_from_dict checks
+    its keys and values."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -136,7 +135,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
-    return run_config_from_dict(raw)
+    return raw
 
 
 def fallback_seed() -> int | None:

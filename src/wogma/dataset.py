@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ConfigurationError, DataFormatError
 from .graph import JOINT_COUNT, L_HIP, NECK, R_HIP
 
+# channels per joint in every frame: x, y, confidence
+CHANNELS = 3
+
 # joints that carry limb motion in the generator (elbows, wrists, knees, ankles)
 LIMB_JOINTS = [3, 4, 6, 7, 9, 10, 12, 13]
 
@@ -61,11 +64,11 @@ class SkeletonSequence:
 # ---------------------------------------------------------------------------
 
 def _label_list(raw) -> list[int]:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return [int(raw)]
-    if isinstance(raw, list):
-        return [int(v) for v in raw]
-    raise DataFormatError(f"label must be an integer or list, got {raw!r}")
+    """A video's labels from JSON: 0 or 1, or a list of them, one per class."""
+    labels = raw if isinstance(raw, list) else [raw]
+    if any(type(v) is not int or v not in (0, 1) for v in labels):
+        raise ValueError(f"label must be 0 or 1, or a list of them, got {raw!r}")
+    return labels
 
 
 def save_sequences(path, sequences: list[SkeletonSequence]) -> None:
@@ -117,9 +120,10 @@ def load_sequences(path, joint_count: int = JOINT_COUNT) -> list[SkeletonSequenc
             raw_segments = obj.get("gt_segments")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if frames.ndim != 3 or frames.shape[2] != 3:
+        if frames.ndim != 3 or frames.shape[2] != CHANNELS:
             raise DataFormatError(
-                f"{path}:{lineno}: frames must be T x N x 3, got shape {frames.shape}")
+                f"{path}:{lineno}: frames must be T x N x {CHANNELS}, "
+                f"got shape {frames.shape}")
         if frames.shape[1] != joint_count:
             raise DataFormatError(
                 f"{path}:{lineno}: expected {joint_count} joints, got {frames.shape[1]}")
@@ -157,7 +161,7 @@ def preprocess(seq: SkeletonSequence, max_frames: int) -> SkeletonSequence:
     median trunk length is already 1).
     """
     keep = min(seq.length, max_frames)
-    out = np.zeros((max_frames, seq.frames.shape[1], 3))
+    out = np.zeros((max_frames, seq.frames.shape[1], CHANNELS))
     out[:keep] = seq.frames[:keep]
 
     conf = out[:, :, 2]

@@ -7,7 +7,7 @@ import numpy as np
 from .autodiff import DTensor, Parameter
 from .config import TrainConfig
 from .cpgb import PseudoLabelBranch
-from .dataset import SkeletonSequence, preprocess
+from .dataset import CHANNELS, SkeletonSequence, preprocess
 from .graph import SkeletonGraph, build_multiscale, default_skeleton
 from .lfem import ClipWindowing, LocalFeatureExtractor, split_clips
 from .oamb import OnlineBranch
@@ -24,6 +24,9 @@ class ActionDetector:
     The parameters hold values only. The Adam moments and step count are
     the optimiser's: `optimizer` is None until `trainer.train` builds a
     ParameterArena, or `load_checkpoint(path, optimizer=True)` reads one.
+    A checkpoint of a model without one, or whose optimiser has not
+    stepped, stores the weights and step 0 and no moments. Every frame
+    carries `dataset.CHANNELS` values per joint.
     """
 
     def __init__(self, config: TrainConfig, skeleton: SkeletonGraph | None = None, *,
@@ -36,7 +39,7 @@ class ActionDetector:
         self.extractor = LocalFeatureExtractor(
             build_multiscale(self.skeleton, scales=config.scales), tau=config.tau,
             joints=self.skeleton.joint_count,
-            in_channels=config.input_channels, gcn_channels=config.gcn_channels,
+            in_channels=CHANNELS, gcn_channels=config.gcn_channels,
             gcn_layers=config.gcn_layers, feature_dim=config.feature_dim,
             ablate_local=config.ablate_local, rng=rng)
         self.pseudo_branch = PseudoLabelBranch(

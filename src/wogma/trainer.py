@@ -13,20 +13,18 @@ gradient buffer, zero_grads clears it in place, and adam_step updates the
 whole model in one pass over cache-sized blocks, bitwise the same as the
 per-parameter formula. Parameters hold only their values.
 
-Checkpoints stay one record per parameter name, moments included;
-save_checkpoint writes each payload from the array's own buffer (zeros when
-the model has no optimiser). load_checkpoint reads the file once, each
-payload straight into the array the rebuilt model keeps. By default it reads
-the weights only, which is all inference needs: the moment records are
-checked and skipped. `optimizer=True` reads them into a fresh arena, for
-resuming training.
+A checkpoint stores the weights one record per parameter name, then the
+optimiser as the arena holds it: one Adam step count and, once it has
+stepped, the m and v payloads. load_checkpoint reads the file once, each
+payload straight into the array the rebuilt model keeps. By default it
+reads the weights only, which is all inference needs; `optimizer=True`
+also reads the step and moments into a fresh arena, for resuming training.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import struct
 import sys
@@ -45,7 +43,7 @@ from .model import ActionDetector
 from .oamb import frame_loss, mil_loss_online
 
 CHECKPOINT_MAGIC = b"WOGM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -150,11 +148,6 @@ class ParameterArena:
         """Each parameter's view of one of the flat buffers, in order."""
         return [flat[start:start + p.values.size].reshape(p.values.shape)
                 for p, start in zip(self.params, self.starts)]
-
-    def moments(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Each parameter's views of the Adam m and v buffers, by name."""
-        return {p.name: pair for p, pair in zip(
-            self.params, zip(self.views(self.adam_m), self.views(self.adam_v)))}
 
 
 # Bytes of one block of adam_step's pass: the block of each flat buffer and
@@ -282,40 +275,30 @@ def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: little-endian binary.
-#   magic "WOGM" | version u32 | config JSON (u32 length + UTF-8) |
-#   epoch u32 | seed u64 | param count u32 |
-#   per parameter: record(values), record(adam_m), record(adam_v), step u64
-# where record = name length u32, UTF-8 name, rank u32, dims u32[rank],
-# float64 payload. Payloads are written from the arrays' own buffers and
-# read back into the arrays of a freshly built model. The Adam moments and
-# step come from the model's optimiser (zeros and step 0 without one); a
-# weights-only load checks each moment record's name, shape and length and
-# seeks past its payload.
+# Checkpoint format, version 2: little-endian binary.
+#   magic "WOGM" | version u32 | config JSON (u32 length + UTF-8) | epoch u32 |
+#   per parameter in model.params order: name length u32, UTF-8 name,
+#     rank u32, dims u32[rank], float64 values |
+#   Adam step u64 |
+#   if the step is above 0: every parameter's Adam m payload, then every
+#     parameter's v payload, in the same order and with no headers.
+# A step of 0 stores no moments: an optimiser that has never stepped holds
+# zeros. Payloads are written from the arrays' own buffers (the moments from
+# the optimiser's views) and read back into the arrays of a freshly built
+# model.
 # ---------------------------------------------------------------------------
 
-# Largest zero block written at once for the moments of a model that has no
-# optimiser, so saving it needs no parameter-sized buffer of zeros.
-_ZERO_BLOCK_BYTES = 256 * 1024
+def _write_payload(handle, array: np.ndarray) -> None:
+    handle.write(memoryview(np.asarray(array, dtype="<f8", order="C")))
 
 
-def _write_record(handle, name: str, shape: tuple[int, ...],
-                  array: np.ndarray | None) -> None:
-    """One record; with `array` None its payload is zeros."""
+def _write_record(handle, name: str, values: np.ndarray) -> None:
     encoded = name.encode("utf-8")
     handle.write(struct.pack("<I", len(encoded)))
     handle.write(encoded)
-    handle.write(struct.pack("<I", len(shape)))
-    handle.write(struct.pack(f"<{len(shape)}I", *shape))
-    if array is not None:
-        handle.write(memoryview(np.asarray(array, dtype="<f8", order="C")))
-        return
-    left = 8 * math.prod(shape)
-    zeros = memoryview(bytes(min(left, _ZERO_BLOCK_BYTES)))
-    while left:
-        chunk = min(left, len(zeros))
-        handle.write(zeros[:chunk])
-        left -= chunk
+    handle.write(struct.pack("<I", values.ndim))
+    handle.write(struct.pack(f"<{values.ndim}I", *values.shape))
+    _write_payload(handle, values)
 
 
 class _Reader:
@@ -356,24 +339,25 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{self.path}: {what} is not UTF-8: {exc}") from exc
 
-    def record(self, name: str, shape: tuple[int, ...],
-               into: np.ndarray | None = None) -> None:
-        """Check that the record `name` has `shape` and that its payload is
-        all there; read the payload into `into`, or seek past it."""
-        rank = self.u32()
-        dims = struct.unpack(f"<{rank}I", self.take(4 * rank))
-        if dims != shape:
-            raise DataFormatError(
-                f"{self.path}: shape mismatch for {name!r}: {dims} vs {shape}")
-        nbytes = 8 * math.prod(shape)
-        self._advance(nbytes)
-        if into is None:
-            self.handle.seek(nbytes, os.SEEK_CUR)
-            return
-        if self.handle.readinto(memoryview(into).cast("B")) != nbytes:
+    def payload(self, into: np.ndarray) -> None:
+        """Read `into.nbytes` bytes of float64 straight into `into`."""
+        self._advance(into.nbytes)
+        if self.handle.readinto(memoryview(into).cast("B")) != into.nbytes:
             raise DataFormatError(f"{self.path}: truncated checkpoint")
         if sys.byteorder == "big":
             into.byteswap(inplace=True)
+
+    def record(self, name: str, into: np.ndarray) -> None:
+        """Read the values record of parameter `name` into `into`, which must
+        have the record's shape."""
+        if self.text("record name") != name:
+            raise DataFormatError(f"{self.path}: parameter names do not match the config")
+        rank = self.u32()
+        dims = struct.unpack(f"<{rank}I", self.take(4 * rank))
+        if dims != into.shape:
+            raise DataFormatError(
+                f"{self.path}: shape mismatch for {name!r}: {dims} vs {into.shape}")
+        self.payload(into)
 
 
 def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
@@ -381,13 +365,13 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
     it into place, so after a process crash or a power loss `path` holds
     either its old contents or the whole new checkpoint.
 
-    The Adam moments and step come from `model.optimizer`; a model without
-    one is saved with zero moments at step 0, as a freshly built one was."""
+    The Adam step and moments come from `model.optimizer`; a model without
+    one, or whose optimiser has not stepped, is saved at step 0 with no
+    moments."""
     config_blob = json.dumps(train_config_to_dict(model.config),
                              sort_keys=True).encode("utf-8")
-    optimizer = model.optimizer
-    moments = {} if optimizer is None else optimizer.moments()
-    step = 0 if optimizer is None else optimizer.step_count
+    arena = model.optimizer
+    step = 0 if arena is None else arena.step_count
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -397,14 +381,13 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
             handle.write(struct.pack("<I", len(config_blob)))
             handle.write(config_blob)
             handle.write(struct.pack("<I", epoch))
-            handle.write(struct.pack("<Q", model.config.seed))
-            handle.write(struct.pack("<I", len(model.params)))
             for name, param in model.params.items():
-                adam_m, adam_v = moments.get(name, (None, None))
-                _write_record(handle, name, param.values.shape, param.values)
-                _write_record(handle, name + ".adam_m", param.values.shape, adam_m)
-                _write_record(handle, name + ".adam_v", param.values.shape, adam_v)
-                handle.write(struct.pack("<Q", step))
+                _write_record(handle, name, param.values)
+            handle.write(struct.pack("<Q", step))
+            if step:
+                for flat in (arena.adam_m, arena.adam_v):
+                    for moment in arena.views(flat):
+                        _write_payload(handle, moment)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -418,12 +401,12 @@ def load_checkpoint(path, *, optimizer: bool = False) -> tuple[ActionDetector, i
     The file is read once, front to back: the header builds the model
     without its random initialisation, and each weight record's payload is
     read straight into the array the model keeps. By default the Adam
-    moment records are checked (name, shape, length) and skipped, and the
-    model has no optimiser: inference needs the weights only, and training
-    such a model starts Adam afresh. With `optimizer=True` the moments and
-    the step count are read into a fresh ParameterArena, `model.optimizer`,
-    so training resumes where it stopped. Either way a missing, unreadable
-    or malformed file raises DataFormatError and leaves no model behind.
+    moments are not read, and the model has no optimiser: inference needs
+    the weights only, and training such a model starts Adam afresh. With
+    `optimizer=True` the step count and the moments (zeros at step 0) are
+    read into a fresh ParameterArena, `model.optimizer`, so training resumes
+    where it stopped. Either way a missing, unreadable or malformed file
+    raises DataFormatError and leaves no model behind.
     """
     try:
         with open(path, "rb") as handle:
@@ -448,39 +431,26 @@ def _read_checkpoint(reader: _Reader, optimizer: bool) -> tuple[ActionDetector, 
     if not isinstance(config, dict):
         raise DataFormatError(f"{path}: config must be a JSON object")
     epoch = reader.u32()
-    reader.u64()  # seed, already inside the config snapshot
-    count = reader.u32()
-    # every weight is overwritten below: the loader rejects a file that does
-    # not name every parameter
+    # every weight is overwritten below: each parameter must have its record
     model = ActionDetector(train_config_from_dict(config), initialise=False)
+    # the arena takes over the value arrays before they are read, so an
+    # optimiser load never holds them beside it
     arena = ParameterArena(model.parameters()) if optimizer else None
-    moments = {} if arena is None else arena.moments()
-
-    loaded: set[str] = set()
-    steps: set[int] = set()
-    for _ in range(count):
-        name = reader.text("record name")
-        param = model.params.get(name)
-        if param is None or name in loaded:
-            raise DataFormatError(f"{path}: parameter names do not match the config")
-        loaded.add(name)
-        shape = param.values.shape
-        reader.record(name, shape, param.values)
-        for suffix, moment in zip((".adam_m", ".adam_v"), moments.get(name, (None, None))):
-            if reader.text("record name") != name + suffix:
-                raise DataFormatError(f"{path}: malformed optimiser records for {name!r}")
-            reader.record(name + suffix, shape, moment)
-        steps.add(reader.u64())
-    trailing = reader.size - reader.offset
-    if trailing:
-        raise DataFormatError(f"{path}: {trailing} unexpected bytes after the last record")
-    if loaded != set(model.params):
-        raise DataFormatError(f"{path}: parameter names do not match the config")
-    if len(steps) > 1:
+    for name, param in model.params.items():
+        reader.record(name, param.values)
+    step = reader.u64()
+    moment_bytes = 2 * sum(p.values.nbytes for p in model.params.values()) if step else 0
+    left = reader.size - reader.offset
+    if left < moment_bytes:
+        raise DataFormatError(f"{path}: truncated checkpoint")
+    if left > moment_bytes:
         raise DataFormatError(
-            f"{path}: parameters are at different Adam steps {sorted(steps)}; "
-            "one optimiser keeps one step count")
+            f"{path}: {left - moment_bytes} unexpected bytes after the last record")
     if arena is not None:
-        arena.step_count = steps.pop()
+        arena.step_count = step
+        if step:
+            for flat in (arena.adam_m, arena.adam_v):
+                for moment in arena.views(flat):
+                    reader.payload(moment)
         model.optimizer = arena
     return model, epoch

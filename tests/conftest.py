@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wogma.config import TrainConfig
+from wogma.dataset import CHANNELS
 from wogma.graph import build_spatial_graph
 from wogma.model import ActionDetector
 
@@ -25,8 +26,7 @@ def micro_clips(seed=0, clip_count=3, model=None):
     model = model or micro_model()
     rng = np.random.default_rng(seed)
     return rng.standard_normal(
-        (clip_count, model.config.tau, model.skeleton.joint_count,
-         model.config.input_channels))
+        (clip_count, model.config.tau, model.skeleton.joint_count, CHANNELS))
 
 
 @pytest.fixture
@@ -39,43 +39,41 @@ def small_training_config():
 
 def checkpoint_field_ranges(blob: bytes, model: ActionDetector) -> list[tuple[int, int]]:
     """(start, stop) of every field of `model`'s saved checkpoint `blob` but
-    the float payloads: the header, each record's name and dims, each step."""
-    offset = 12 + int.from_bytes(blob[8:12], "little") + 16
+    the float payloads: the header, each values record's name and dims, and
+    the Adam step."""
+    offset = 12 + int.from_bytes(blob[8:12], "little") + 4
     ranges = [(0, offset)]
     for name, param in model.params.items():
-        for record in (name, name + ".adam_m", name + ".adam_v"):
-            header = 8 + len(record.encode("utf-8")) + 4 * param.values.ndim
-            ranges.append((offset, offset + header))
-            offset += header + param.values.nbytes
-        ranges.append((offset, offset + 8))
-        offset += 8
-    assert offset == len(blob)
+        header = 8 + len(name.encode("utf-8")) + 4 * param.values.ndim
+        ranges.append((offset, offset + header))
+        offset += header + param.values.nbytes
+    ranges.append((offset, offset + 8))
+    if int.from_bytes(blob[offset:offset + 8], "little"):
+        offset += 2 * sum(p.values.nbytes for p in model.parameters())
+    assert offset + 8 == len(blob)
     return ranges
 
 
 def corrupt_saved_checkpoint(blob: bytes, model: ActionDetector, kind: str) -> bytes:
     """`model`'s saved checkpoint `blob` with one field made malformed: the
-    config not UTF-8, not JSON or not a JSON object, the first parameter's
-    name not UTF-8, the first dim of its adam_m record one too large, or its
-    Adam step one more than the others'."""
+    config not UTF-8, not JSON or not a JSON object, or the first values
+    record's name not UTF-8 or not the first parameter's, or its rank one
+    too large."""
     config_stop = 12 + int.from_bytes(blob[8:12], "little")
     if kind == "config-not-object":
         return blob[:8] + (3).to_bytes(4, "little") + b"[1]" + blob[config_stop:]
-    values_record, moment_record, _, step = checkpoint_field_ranges(blob, model)[1:5]
+    name = checkpoint_field_ranges(blob, model)[1][0] + 4
     corrupted = bytearray(blob)
     if kind == "config-not-utf8":
         corrupted[12] = 0xFF
     elif kind == "config-not-json":
         corrupted[12] = ord("x")
     elif kind == "name-not-utf8":
-        corrupted[values_record[0] + 4] = 0xFF
-    elif kind == "moment-shape":
-        dim = moment_record[0] + 8 + len(next(iter(model.params)) + ".adam_m")
-        corrupted[dim:dim + 4] = (int.from_bytes(blob[dim:dim + 4], "little")
-                                  + 1).to_bytes(4, "little")
-    elif kind == "step-mismatch":
-        corrupted[step[0]:step[1]] = (int.from_bytes(blob[step[0]:step[1]], "little")
-                                      + 1).to_bytes(8, "little")
+        corrupted[name] = 0xFF
+    elif kind == "name-mismatch":
+        corrupted[name] = ord("?")
+    elif kind == "values-shape":
+        corrupted[name + len(next(iter(model.params)).encode("utf-8"))] += 1
     else:
         raise ValueError(f"unknown corruption {kind!r}")
     return bytes(corrupted)

@@ -59,6 +59,14 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_input_channels_config_key_exits_one(tmp_path, capsys):
+    # every frame has x, y and confidence: the channel count is no setting
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**FAST_CONFIG, "input_channels": 2}))
+    assert run_cli(["train", "--config", config, "--out-dir", tmp_path]) == 1
+    assert "unknown config keys: ['input_channels']" in capsys.readouterr().err
+
+
 def test_missing_data_exits_two(tmp_path, capsys):
     assert run_cli(["train", "--data", tmp_path / "nope.jsonl",
                     "--out-dir", tmp_path]) == 2

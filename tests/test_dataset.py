@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,26 @@ def test_line_numbers_count_every_line_break(tmp_path):
     path.write_bytes(good + b"\r\n" + good + b"\r" + b'{"video_id": "a"\n')
     with pytest.raises(DataFormatError, match=":3: invalid JSON"):
         ds.load_sequences(path)
+
+
+@pytest.mark.parametrize("label", [0.7, 1.9, 1.0, 2, -1, True, [True], [0, 2], "1", None],
+                         ids=["0.7", "1.9", "1.0", "2", "-1", "true", "[true]", "[0,2]",
+                              "string", "null"])
+def test_label_other_than_zero_or_one_rejected_naming_line(tmp_path, label):
+    path = tmp_path / "d.jsonl"
+    ds.save_sequences(path, [tiny_sequence(), tiny_sequence()])
+    first, second = path.read_text().splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), 'label': label})}\n")
+    with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}:2: label must be 0 or 1"):
+        ds.load_sequences(path)
+
+
+def test_label_list_of_zeros_and_ones_loads(tmp_path):
+    seq = tiny_sequence()
+    seq.labels = [0, 1]
+    path = tmp_path / "d.jsonl"
+    ds.save_sequences(path, [seq])
+    assert ds.load_sequences(path)[0].labels == [0, 1]
 
 
 def test_confidence_out_of_range_rejected(tmp_path):
