@@ -1,11 +1,14 @@
 """Minimal reverse-mode autodiff on dense float64 arrays.
 
-Provides exactly the primitives the detection model needs. Every operation
+Provides exactly the primitives that training, eval and streaming run; the
+ones that only test oracles compose live under tests/. Every operation
 records a node on the active tape; backward() replays the tape in reverse
 execution order and accumulates gradients additively at fan-out points.
 The model runs in float64. The primitives also carry np.longdouble values
-through unchanged, which grad_check uses to evaluate its central differences
-in extended precision, so round-off does not swamp tiny gradients.
+through unchanged (DTensor keeps that dtype, temporal_conv1d pads in it):
+tests/grad_oracle.py runs these src primitives on longdouble inputs to take
+its central differences in extended precision, so EXTENDED and that
+passthrough stay here.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
-# Extended-precision dtype of grad_check's finite differences.
+# Extended-precision dtype that DTensor keeps as it is, for the gradient
+# oracle's finite differences.
 EXTENDED = np.longdouble
 
 
@@ -29,7 +33,7 @@ class DTensor:
     """Dense n-dimensional array with an optional gradient buffer.
 
     Values are float64, except that an np.longdouble array stays longdouble
-    so grad_check can run the model in extended precision.
+    so the gradient oracle can run the model in extended precision.
     """
 
     __slots__ = ("values", "grad", "requires_grad")
@@ -264,29 +268,6 @@ def temporal_conv1d(x, w, b) -> DTensor:
     return out
 
 
-def collapse_window(x, w) -> DTensor:
-    """Weighted sum over the window's time axis, mixing channels per joint.
-
-    x: (L, tau, N, C), w: (C, tau, D) -> (L, N, D); no mixing across joints.
-    """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.values.ndim != 4 or w.values.ndim != 3:
-        raise ShapeError(f"collapse_window: x {x.values.shape}, w {w.values.shape}")
-    if x.values.shape[1] != w.values.shape[1] or x.values.shape[3] != w.values.shape[0]:
-        raise ShapeError(f"collapse_window: x {x.values.shape} does not match w {w.values.shape}")
-    out = DTensor(np.einsum("ltnc,ctd->lnd", x.values, w.values, optimize=True),
-                  requires_grad=_needs(x, w))
-
-    def pull(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[...] += np.einsum("lnd,ctd->ltnc", g, w.values, optimize=True)
-        if w.requires_grad:
-            w.ensure_grad()[...] += np.einsum("ltnc,lnd->ctd", x.values, g, optimize=True)
-
-    _record(out, pull)
-    return out
-
-
 def _sigmoid_vals(v: np.ndarray) -> np.ndarray:
     # Branching on the sign keeps exp() in the underflow-safe half plane.
     out = np.empty_like(v)
@@ -323,34 +304,6 @@ def sigmoid(x) -> DTensor:
     def pull(g: np.ndarray) -> None:
         if x.requires_grad:
             x.ensure_grad()[...] += g * y * (1.0 - y)
-
-    _record(out, pull)
-    return out
-
-
-def tanh(x) -> DTensor:
-    x = _as_tensor(x)
-    y = np.tanh(x.values)
-    out = DTensor(y, requires_grad=_needs(x))
-
-    def pull(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[...] += g * (1.0 - y * y)
-
-    _record(out, pull)
-    return out
-
-
-def softmax(x) -> DTensor:
-    """Softmax over the last dimension, computed with max subtraction."""
-    x = _as_tensor(x)
-    y = _softmax_vals(x.values)
-    out = DTensor(y, requires_grad=_needs(x))
-
-    def pull(g: np.ndarray) -> None:
-        if x.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x.ensure_grad()[...] += y * (g - dot)
 
     _record(out, pull)
     return out
@@ -627,68 +580,3 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
 
     _record(out, pull)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(fn: Callable[..., DTensor], inputs: Sequence[np.ndarray], h: float = 1e-6,
-               seed: int = 0) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    `fn` maps DTensor arguments to a DTensor of any shape; the output is
-    reduced to a scalar with a fixed random projection so the full Jacobian
-    is exercised. Relative error follows
-    |analytic - numeric| / max(1e-8, |numeric|), maximised over all input
-    elements.
-
-    The analytic pass runs in float64, as the model does. The +-h passes run
-    on np.longdouble copies of the inputs and take their difference in
-    longdouble: in float64, the central difference of an O(1) loss at
-    h = 1e-5 is off by about eps/h ~ 1e-11, which swamps gradients of
-    order 1e-9.
-
-    Raises NumericalError if longdouble is no wider than float64 on this
-    platform, or if `fn` returns anything but longdouble on those passes
-    (some operation dropped back to float64).
-    """
-    if np.finfo(EXTENDED).eps >= np.finfo(np.float64).eps:
-        raise NumericalError(
-            f"grad_check needs an extended-precision longdouble; {np.dtype(EXTENDED)} "
-            f"has eps {np.finfo(EXTENDED).eps:.3g}, no smaller than float64's")
-    arrays = [np.asarray(a, dtype=np.float64) for a in inputs]
-
-    # analytic pass
-    tensors = [DTensor(a, requires_grad=True) for a in arrays]
-    with Tape() as tape:
-        out = fn(*tensors)
-        probe = np.random.default_rng(seed).standard_normal(out.values.shape)
-        loss = reduce_sum(mul(out, DTensor(probe)))
-    tape.backward(loss)
-    analytic = [t.grad if t.grad is not None else np.zeros_like(t.values) for t in tensors]
-
-    wide = [a.astype(EXTENDED) for a in arrays]
-
-    def loss_value() -> np.floating:
-        out = fn(*[DTensor(a) for a in wide]).values
-        if out.dtype != EXTENDED:
-            raise NumericalError(
-                f"grad_check: fn returned {out.dtype} on longdouble inputs; "
-                "an operation dropped the extended precision")
-        return (out * probe).sum()
-
-    worst = 0.0
-    for idx, base in enumerate(wide):
-        flat = base.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = loss_value()
-            flat[j] = orig - h
-            down = loss_value()
-            flat[j] = orig
-            numeric = float((up - down) / (2.0 * h))
-            err = abs(analytic[idx].reshape(-1)[j] - numeric) / max(1e-8, abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import plots
 from .config import RunConfig, fallback_seed, read_config_file, run_config_from_dict
-from .dataset import CHANNELS, SynthParams, load_sequences, save_sequences, synthesize
+from .dataset import SynthParams, check_frames, load_sequences, save_sequences, synthesize
 from .errors import ConfigurationError, DataFormatError, NumericalError
 from .evaluation import evaluate
 from .oamb import extract_instances, stream_record
@@ -32,6 +32,23 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigurationError(message)
+
+
+def probability(text: str) -> float:
+    """An --instance-threshold value: a probability strictly inside (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return value
+
+
+def fraction_list(text: str) -> list[float]:
+    """A --fractions value: comma-separated observed fractions in (0, 1]."""
+    values = [float(v) for v in text.split(",") if v]
+    for value in values:
+        if not 0.0 < value <= 1.0:
+            raise argparse.ArgumentTypeError(f"fraction {value} outside (0, 1]")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -53,7 +70,8 @@ def build_parser() -> _Parser:
     gen.set_defaults(func=cmd_gen_data)
 
     tr = sub.add_parser("train", help="train a model and write checkpoint + metrics")
-    tr.add_argument("--config", default=None, help="RunConfig JSON file")
+    tr.add_argument("--config", default=None,
+                    help="JSON object of TrainConfig fields, train_data and out_dir")
     tr.add_argument("--data", default=None, help="training JSONL (overrides config)")
     tr.add_argument("--out-dir", default=None)
     tr.add_argument("--epochs", type=int, default=None)
@@ -72,9 +90,10 @@ def build_parser() -> _Parser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out-dir", default="out")
-    ev.add_argument("--fractions", default=None,
+    ev.add_argument("--fractions", type=fraction_list,
+                    default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
                     help="comma-separated observed fractions for the early curve")
-    ev.add_argument("--instance-threshold", type=float, default=0.5)
+    ev.add_argument("--instance-threshold", type=probability, default=0.5)
     ev.set_defaults(func=cmd_eval)
 
     de = sub.add_parser("detect", help="stream per-clip detections")
@@ -84,7 +103,7 @@ def build_parser() -> _Parser:
     source.add_argument("--stdin", action="store_true",
                         help="read preprocessed clip JSON lines from stdin")
     de.add_argument("--out-dir", default="out")
-    de.add_argument("--instance-threshold", type=float, default=0.5)
+    de.add_argument("--instance-threshold", type=probability, default=0.5)
     de.set_defaults(func=cmd_detect)
 
     pl = sub.add_parser("plot", help="emit SVG charts from eval/detect outputs")
@@ -112,9 +131,7 @@ def _resolve_seed(flag_seed, file_had_seed: bool, config_seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = fallback_seed() or 0
+    seed = _resolve_seed(args.seed, False, 0)
     params = SynthParams(n_videos=args.videos, frames=args.frames, fps=args.fps,
                          positive_fraction=args.positive_fraction,
                          segment_len_min=args.segment_len_min,
@@ -147,7 +164,7 @@ def _load_run(args) -> RunConfig:
         run.train_data = args.data
     if args.out_dir is not None:
         run.out_dir = args.out_dir
-    return run.validate()
+    return run
 
 
 def cmd_train(args) -> int:
@@ -174,17 +191,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_sequences(args.data)
-    run = RunConfig(train=model.config, out_dir=args.out_dir,
-                    instance_threshold=args.instance_threshold)
-    if args.fractions is not None:
-        try:
-            run.eval_fractions = [float(v) for v in args.fractions.split(",") if v]
-        except ValueError as exc:
-            raise ConfigurationError(f"bad --fractions value: {args.fractions!r}") from exc
-    run.validate()
-    report, results = evaluate(model, dataset, run)
+    report, results = evaluate(model, dataset, args.fractions, args.instance_threshold)
 
-    out_dir = Path(run.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     with open(out_dir / "early_curve.csv", "w", newline="") as handle:
@@ -234,12 +243,10 @@ def cmd_detect(args) -> int:
                 clip = np.asarray(obj["frames"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
-            expected = (model.config.tau, model.skeleton.joint_count, CHANNELS)
-            if clip.shape != expected:
-                raise DataFormatError(
-                    f"clip line {lineno}: shape {clip.shape} does not match {expected}")
-            if not np.isfinite(clip).all():
-                raise DataFormatError(f"clip line {lineno}: frames hold a non-finite value")
+            check_frames(clip, f"clip line {lineno}")
+            if clip.shape[0] != model.config.tau:
+                raise DataFormatError(f"clip line {lineno}: {clip.shape[0]} frames, "
+                                      f"expected tau = {model.config.tau}")
             feats = model.features(clip[None])
             state, probs = model.online_branch.online_step(state, feats.values[0])
             rows.append(probs)

@@ -73,24 +73,11 @@ class TrainConfig:
 
 @dataclass
 class RunConfig:
-    """TrainConfig plus file locations and evaluation settings for the CLI."""
+    """TrainConfig plus the file locations of a `train` run."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
     train_data: str = "train.jsonl"
     out_dir: str = "out"
-    eval_fractions: list[float] = field(
-        default_factory=lambda: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
-    instance_threshold: float = 0.5
-
-    def validate(self) -> "RunConfig":
-        self.train.validate()
-        if not 0.0 < self.instance_threshold < 1.0:
-            raise ConfigurationError(
-                f"instance_threshold must lie in (0, 1), got {self.instance_threshold}")
-        for frac in self.eval_fractions:
-            if not 0.0 < frac <= 1.0:
-                raise ConfigurationError(f"eval fraction {frac} outside (0, 1]")
-        return self
 
 
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -117,11 +104,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     train = train_config_from_dict({k: v for k, v in data.items() if k in _TRAIN_FIELDS})
-    run_kwargs = {k: v for k, v in data.items() if k in _RUN_FIELDS}
-    try:
-        return RunConfig(train=train, **run_kwargs).validate()
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    return RunConfig(train=train, **{k: v for k, v in data.items() if k in _RUN_FIELDS})
 
 
 def read_config_file(path) -> dict:

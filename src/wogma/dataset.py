@@ -103,15 +103,50 @@ def _numbered_lines(path):
             f"{path}: not UTF-8 text at or after line {lineno + 1}: {exc}") from exc
 
 
-def load_sequences(path, joint_count: int = JOINT_COUNT) -> list[SkeletonSequence]:
+def check_frames(frames: np.ndarray, where: str) -> None:
+    """Raise DataFormatError, prefixed with `where`, unless `frames` is a
+    T x JOINT_COUNT x CHANNELS array of finite values whose confidences lie
+    in [0, 1]. Both dataset lines and streamed clips pass through here."""
+    if frames.ndim != 3 or frames.shape[2] != CHANNELS:
+        raise DataFormatError(
+            f"{where}: frames must be T x N x {CHANNELS}, got shape {frames.shape}")
+    if frames.shape[1] != JOINT_COUNT:
+        raise DataFormatError(f"{where}: expected {JOINT_COUNT} joints, got {frames.shape[1]}")
+    if not np.isfinite(frames).all():
+        raise DataFormatError(f"{where}: frames hold a non-finite value")
+    conf = frames[:, :, 2]
+    if conf.min() < 0.0 or conf.max() > 1.0:
+        raise DataFormatError(f"{where}: confidences must lie in [0, 1]")
+
+
+def _segment_list(raw, frame_count: int, where: str) -> list[tuple[int, int, int]]:
+    """A video's gt_segments from JSON: [start, end, class] lists of integers
+    (booleans excluded) with 1 <= start <= end <= frame_count and class >= 1."""
+    if not isinstance(raw, list):
+        raise DataFormatError(f"{where}: gt_segments must be a list, got {raw!r}")
+    for seg in raw:
+        if not (isinstance(seg, list) and len(seg) == 3
+                and all(type(v) is int for v in seg)):
+            raise DataFormatError(f"{where}: segment must be a list of three integers "
+                                  f"[start, end, class], got {seg!r}")
+        if not 1 <= seg[0] <= seg[1] <= frame_count:
+            raise DataFormatError(
+                f"{where}: segment {seg} needs 1 <= start <= end <= {frame_count} frames")
+        if seg[2] < 1:
+            raise DataFormatError(f"{where}: segment {seg} has class {seg[2]}, classes start at 1")
+    return [tuple(seg) for seg in raw]
+
+
+def load_sequences(path) -> list[SkeletonSequence]:
     sequences: list[SkeletonSequence] = []
     for lineno, line in _numbered_lines(path):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            raise DataFormatError(f"{where}: invalid JSON: {exc}") from exc
         try:
             frames = np.asarray(obj["frames"], dtype=np.float64)
             video_id = str(obj["video_id"])
@@ -119,28 +154,12 @@ def load_sequences(path, joint_count: int = JOINT_COUNT) -> list[SkeletonSequenc
             labels = _label_list(obj["label"])
             raw_segments = obj.get("gt_segments")
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if frames.ndim != 3 or frames.shape[2] != CHANNELS:
-            raise DataFormatError(
-                f"{path}:{lineno}: frames must be T x N x {CHANNELS}, "
-                f"got shape {frames.shape}")
-        if frames.shape[1] != joint_count:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {joint_count} joints, got {frames.shape[1]}")
-        if not np.isfinite(frames).all():
-            raise DataFormatError(f"{path}:{lineno}: frames hold a non-finite value")
-        conf = frames[:, :, 2]
-        if conf.min() < 0.0 or conf.max() > 1.0:
-            raise DataFormatError(f"{path}:{lineno}: confidences must lie in [0, 1]")
-        segments = None
-        if raw_segments is not None:
-            segments = []
-            for seg in raw_segments:
-                start, end, cls = int(seg[0]), int(seg[1]), int(seg[2])
-                if start > end:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: segment start {start} after end {end}")
-                segments.append((start, end, cls))
+            raise DataFormatError(f"{where}: {exc}") from exc
+        check_frames(frames, where)
+        if not (math.isfinite(fps) and fps > 0.0):
+            raise DataFormatError(f"{where}: fps must be finite and above 0, got {fps}")
+        segments = (None if raw_segments is None
+                    else _segment_list(raw_segments, frames.shape[0], where))
         sequences.append(SkeletonSequence(video_id=video_id, fps=fps, labels=labels,
                                           frames=frames, gt_segments=segments))
     return sequences

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
 from .dataset import SkeletonSequence
 from .errors import ConfigurationError, DataFormatError
 from .model import ActionDetector
@@ -30,8 +29,9 @@ IOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 # Classification
 # ---------------------------------------------------------------------------
 
-def classification_metrics(probs, labels, threshold: float = 0.5) -> tuple[float, float, float]:
-    """(accuracy, F1 of the positive class, rank AUC with averaged ties).
+def classification_metrics(probs, labels) -> tuple[float, float, float]:
+    """(accuracy and F1 of the positive class at probability 0.5, rank AUC
+    with averaged ties).
 
     AUC is undefined when only one class is present; it comes back as nan.
     """
@@ -39,7 +39,7 @@ def classification_metrics(probs, labels, threshold: float = 0.5) -> tuple[float
     labels = np.asarray(labels, dtype=int)
     if probs.shape != labels.shape:
         raise ValueError(f"{probs.shape} probabilities for {labels.shape} labels")
-    predicted = (probs > threshold).astype(int)
+    predicted = (probs > 0.5).astype(int)
     accuracy = float((predicted == labels).mean())
 
     tp = int(((predicted == 1) & (labels == 1)).sum())
@@ -119,12 +119,12 @@ def average_precision(predictions: list[ScoredSegment], gt: list[ScoredSegment],
     return ap / len(gt)
 
 
-def detection_map(predictions: list[ScoredSegment], gt: list[ScoredSegment],
-                  thresholds=IOU_THRESHOLDS) -> dict[float, float]:
-    """AP per IoU threshold, averaged over action classes."""
+def detection_map(predictions: list[ScoredSegment],
+                  gt: list[ScoredSegment]) -> dict[float, float]:
+    """AP at each of IOU_THRESHOLDS, averaged over action classes."""
     classes = sorted({seg.label for seg in gt}) or [1]
     out = {}
-    for thr in thresholds:
+    for thr in IOU_THRESHOLDS:
         per_class = []
         for cls in classes:
             per_class.append(average_precision(
@@ -171,7 +171,7 @@ class EvalReport:
 
 
 def score_videos(model: ActionDetector, dataset: list[SkeletonSequence],
-                 instance_threshold: float = 0.5) -> list[VideoResult]:
+                 instance_threshold: float) -> list[VideoResult]:
     results = []
     for seq in dataset:
         clips = model.prepare_clips(seq)
@@ -230,22 +230,28 @@ def build_report(results: list[VideoResult], fractions, kappa: int) -> EvalRepor
                       early_curve=curve)
 
 
-def evaluate(model: ActionDetector, dataset: list[SkeletonSequence],
-             run: RunConfig) -> tuple[EvalReport, list[VideoResult]]:
-    """Score every video and build the report.
+def evaluate(model: ActionDetector, dataset: list[SkeletonSequence], fractions,
+             instance_threshold: float) -> tuple[EvalReport, list[VideoResult]]:
+    """Score every video and build the report, with the early curve at
+    `fractions` and instances above `instance_threshold`.
 
     Raises DataFormatError, naming the video, if a video does not carry one
-    label per class of the model, as training requires; then
-    ConfigurationError if the model has more than one class, as every
-    metric here scores class 1 only.
+    label per class of the model, as training requires, or has a segment
+    of a class above the model's n_c; then ConfigurationError if the model
+    has more than one class, as every metric here scores class 1 only.
     """
     for seq in dataset:
         if len(seq.labels) != model.config.n_c:
             raise DataFormatError(
                 f"{seq.video_id}: {len(seq.labels)} labels for {model.config.n_c} classes")
+        for start, end, cls in seq.gt_segments or []:
+            if cls > model.config.n_c:
+                raise DataFormatError(
+                    f"{seq.video_id}: segment ({start}, {end}) has class {cls}, "
+                    f"above the model's n_c = {model.config.n_c}")
     if model.config.n_c > 1:
         raise ConfigurationError(
             f"eval scores one action class; the model has n_c = {model.config.n_c}")
-    results = score_videos(model, dataset, run.instance_threshold)
-    report = build_report(results, run.eval_fractions, model.config.kappa)
+    results = score_videos(model, dataset, instance_threshold)
+    report = build_report(results, fractions, model.config.kappa)
     return report, results

@@ -2,13 +2,13 @@
 
 A spatial joint graph is disentangled into one 0/1 matrix per exact graph
 distance (MS-G3D's multi-scale scheme). The graph convolution is defined on
-a clip window: each scale is tiled across the window's tau frames
-(`tile_window`) and symmetrically degree-normalised (`normalize`). Every
-frame block of that normalised tiled matrix equals the normalised N x N
-scale matrix with self-connections divided by tau, so applying it to a
-window equals applying the N x N matrix to the window's per-joint mean pose.
-`build_multiscale` therefore returns the N x N matrices, and those are what
-the convolution consumes.
+a clip window: each scale is tiled across the window's tau frames and
+symmetrically degree-normalised (`normalize`); tests/tiled_oracle.py builds
+those tiled matrices. Every frame block of a normalised tiled matrix equals
+the normalised N x N scale matrix with self-connections divided by tau, so
+applying it to a window equals applying the N x N matrix to the window's
+per-joint mean pose. `build_multiscale` therefore returns the N x N
+matrices, and those are what the convolution consumes.
 """
 
 from __future__ import annotations
@@ -83,18 +83,6 @@ def disentangle_multiscale(adjacency: np.ndarray, scales: int) -> list[np.ndarra
         mats.append(fresh.astype(np.float64))
         dist_known |= fresh
     return mats
-
-
-def tile_window(scale_adjacency: np.ndarray, tau: int) -> np.ndarray:
-    """Tile a spatial scale matrix into a (tau*N, tau*N) block matrix.
-
-    Every (p, q) frame block equals scale_adjacency + I clipped to {0, 1}, so
-    each joint connects to itself and its scale-m neighbours in every frame
-    of the window. Self-connections keep all degrees positive.
-    """
-    n = scale_adjacency.shape[0]
-    block = np.minimum(scale_adjacency + np.eye(n), 1.0)
-    return np.kron(np.ones((tau, tau)), block)
 
 
 def normalize(matrix: np.ndarray) -> np.ndarray:

@@ -2,10 +2,10 @@
 of each clip, time collapse, and joint aggregation.
 
 The convolution is defined on a clip window through the tiled, normalised
-multi-scale matrices of `graph.tile_window`. Every frame block of those
-matrices is the same N x N matrix divided by tau, so a layer maps a window
-to identical frames that are a graph convolution of the window's per-joint
-mean pose. That spatial form is what runs: the mean pose is taken once, the
+multi-scale matrices that tests/tiled_oracle.py builds. Every frame block
+of those matrices is the same N x N matrix divided by tau, so a layer maps
+a window to identical frames that are a graph convolution of the window's
+per-joint mean pose. That spatial form is what runs: the mean pose is taken once, the
 layers convolve it with the N x N matrices of `graph.build_multiscale`, and
 the learned per-frame time collapse reduces to its frame-summed kernel.
 

@@ -48,11 +48,9 @@ def _y_pos(value: float, lo: float = 0.0, hi: float = 1.0) -> float:
     return HEIGHT - MARGIN - (value - lo) / span * (HEIGHT - 2 * MARGIN)
 
 
-def curve_svg(points: list[tuple[float, float]], title: str = "AUC vs observed fraction",
-              x_label: str = "fraction of video observed",
-              y_label: str = "AUC") -> str:
-    """Line chart of (fraction, value) points, one circle per data point."""
-    parts = _header(title) + _axes(x_label, y_label)
+def curve_svg(points: list[tuple[float, float]]) -> str:
+    """Line chart of (fraction, AUC) points, one circle per data point."""
+    parts = _header("AUC vs observed fraction") + _axes("fraction of video observed", "AUC")
     if points:
         xs = [p[0] for p in points]
         lo, hi = min(xs), max(xs)
@@ -73,9 +71,9 @@ def curve_svg(points: list[tuple[float, float]], title: str = "AUC vs observed f
 
 def timeline_svg(video_id: str, probs: list[float], frame_spans: list[tuple[int, int]],
                  gt_segments: list[tuple[int, int]] | None,
-                 instances: list[tuple[int, int]] | None,
-                 threshold: float = 0.5) -> str:
-    """Per-video strip: action probability per clip with gt/instance bands."""
+                 instances: list[tuple[int, int]] | None) -> str:
+    """Per-video strip: action probability per clip with gt/instance bands
+    and a dashed line at probability 0.5."""
     parts = _header(f"online detection: {video_id}")
     parts += _axes("frame", "action probability")
     if probs:
@@ -87,7 +85,7 @@ def timeline_svg(video_id: str, probs: list[float], frame_spans: list[tuple[int,
         path = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
         parts.append(f'<polyline points="{path}" fill="none" stroke="#1f6fb2" '
                      f'stroke-width="2"/>')
-        thr_y = _y_pos(threshold)
+        thr_y = _y_pos(0.5)
         parts.append(f'<line x1="{MARGIN}" y1="{thr_y:.2f}" x2="{WIDTH - MARGIN}" '
                      f'y2="{thr_y:.2f}" stroke="#999" stroke-dasharray="4 3"/>')
         for start, end in gt_segments or []:

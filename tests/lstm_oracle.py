@@ -6,7 +6,7 @@ tape node per primitive: the form the one-node timeline must equal bitwise.
 
 import numpy as np
 
-from tape_oracle import lstm_cell, slice_rows, stack_rows
+from tape_oracle import lstm_cell, slice_rows, softmax, stack_rows
 from wogma import autodiff as ad
 from wogma.autodiff import DTensor
 
@@ -20,5 +20,5 @@ def per_step_timeline(x, w_ih, w_hh, b, w_a, b_a):
     for i in range(x.values.shape[0]):
         f = ad.reshape(slice_rows(x, i, i + 1), (x.values.shape[1],))
         h, c = lstm_cell(h, c, f, w_ih, w_hh, b)
-        rows.append(ad.softmax(ad.affine(h, w_a, b_a)))
+        rows.append(softmax(ad.affine(h, w_a, b_a)))
     return stack_rows(rows)

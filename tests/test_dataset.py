@@ -91,6 +91,43 @@ def test_label_other_than_zero_or_one_rejected_naming_line(tmp_path, label):
         ds.load_sequences(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("gt_segments", [[1.9, 5.7, 2.5]], "segment must be a list of three integers"),
+    ("gt_segments", [[2.0, 3, 1]], "segment must be a list of three integers"),
+    ("gt_segments", [[True, 5, 1]], "segment must be a list of three integers"),
+    ("gt_segments", [[1]], "segment must be a list of three integers"),
+    ("gt_segments", [[1, 3, 1, 1]], "segment must be a list of three integers"),
+    ("gt_segments", [1, 3, 1], "segment must be a list of three integers"),
+    ("gt_segments", "abc", "gt_segments must be a list"),
+    ("gt_segments", [[-5, 3, 1]], r"needs 1 <= start <= end <= 5 frames"),
+    ("gt_segments", [[0, 3, 1]], r"needs 1 <= start <= end <= 5 frames"),
+    ("gt_segments", [[4, 3, 1]], r"needs 1 <= start <= end <= 5 frames"),
+    ("gt_segments", [[1, 6, 1]], r"needs 1 <= start <= end <= 5 frames"),
+    ("gt_segments", [[1, 3, 0]], "has class 0, classes start at 1"),
+    ("fps", "nan", "fps must be finite and above 0"),
+    ("fps", "inf", "fps must be finite and above 0"),
+    ("fps", 0, "fps must be finite and above 0"),
+    ("fps", -20.0, "fps must be finite and above 0"),
+], ids=["floats", "float-start", "bool", "one-value", "four-values", "flat", "string",
+        "start-negative", "start-zero", "start-after-end", "end-past-last-frame", "class-zero",
+        "fps-nan", "fps-inf", "fps-zero", "fps-negative"])
+def test_bad_segments_or_fps_rejected_naming_line(tmp_path, key, value, message):
+    path = tmp_path / "d.jsonl"
+    ds.save_sequences(path, [tiny_sequence(), tiny_sequence()])
+    first, second = path.read_text().splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), key: value})}\n")
+    with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}:2: .*{message}"):
+        ds.load_sequences(path)
+
+
+def test_segments_spanning_first_to_last_frame_load(tmp_path):
+    seq = tiny_sequence()
+    seq.gt_segments = [(1, 5, 1), (3, 3, 2)]
+    path = tmp_path / "d.jsonl"
+    ds.save_sequences(path, [seq])
+    assert ds.load_sequences(path)[0].gt_segments == [(1, 5, 1), (3, 3, 2)]
+
+
 def test_label_list_of_zeros_and_ones_loads(tmp_path):
     seq = tiny_sequence()
     seq.labels = [0, 1]

@@ -254,15 +254,14 @@ def test_early_curve_ignores_frames_beyond_prefix():
 
 def test_evaluate_end_to_end_micro_model():
     from wogma.dataset import SynthParams, synthesize
-    from wogma.config import RunConfig, TrainConfig
+    from wogma.config import TrainConfig
     from wogma.model import ActionDetector
     config = TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
                          feature_dim=8, gcn_channels=4, scales=2, n_c=1, seed=0)
     model = ActionDetector(config)
     data = synthesize(SynthParams(n_videos=6, frames=120, seed=2,
                                   segment_len_min=40, segment_len_max=60))
-    run = RunConfig(train=config, eval_fractions=[0.2, 1.0])
-    report, results = ev.evaluate(model, data, run)
+    report, results = ev.evaluate(model, data, [0.2, 1.0], 0.5)
     assert 0.0 <= report.accuracy <= 1.0
     assert set(report.map_at) == set(ev.IOU_THRESHOLDS)
     assert report.mean_map == pytest.approx(np.mean(list(report.map_at.values())))
@@ -271,3 +270,18 @@ def test_evaluate_end_to_end_micro_model():
     parsed = json.loads(report.to_json())
     assert set(parsed) == {"accuracy", "f1", "auc", "map_at", "mean_map",
                            "instance_count", "early_curve"}
+
+
+def test_evaluate_rejects_segment_class_above_n_c():
+    from wogma.dataset import SynthParams, synthesize
+    from wogma.config import TrainConfig
+    from wogma.errors import DataFormatError
+    from wogma.model import ActionDetector
+    model = ActionDetector(TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
+                                       feature_dim=8, gcn_channels=4, scales=2, n_c=1))
+    data = synthesize(SynthParams(n_videos=2, frames=120, seed=2,
+                                  segment_len_min=40, segment_len_max=60))
+    data[1].gt_segments = [(1, 40, 1), (50, 90, 7)]
+    with pytest.raises(DataFormatError, match=f"^{data[1].video_id}: segment \\(50, 90\\) "
+                                              "has class 7, above the model's n_c = 1$"):
+        ev.evaluate(model, data, [1.0], 0.5)

@@ -3,8 +3,11 @@
 The graph convolution is defined on a (tau*N, C) clip window through the
 normalised tiled matrices; `LocalFeatureExtractor.extract` computes the same
 map on each clip's mean pose. These helpers run the definition clip by clip
-so the tests can check `extract` against it.
+so the tests can check `extract` against it; criteria 1 and 3 check
+tile_window and collapse_window themselves.
 """
+
+import numpy as np
 
 from tape_oracle import stack_rows
 from wogma import autodiff as ad
@@ -13,9 +16,44 @@ from wogma.autodiff import DTensor
 from wogma.errors import ConfigurationError
 
 
+def tile_window(scale_adjacency: np.ndarray, tau: int) -> np.ndarray:
+    """Tile a spatial scale matrix into a (tau*N, tau*N) block matrix.
+
+    Every (p, q) frame block equals scale_adjacency + I clipped to {0, 1}, so
+    each joint connects to itself and its scale-m neighbours in every frame
+    of the window. Self-connections keep all degrees positive.
+    """
+    n = scale_adjacency.shape[0]
+    block = np.minimum(scale_adjacency + np.eye(n), 1.0)
+    return np.kron(np.ones((tau, tau)), block)
+
+
+def collapse_window(x, w) -> DTensor:
+    """Weighted sum over the window's time axis, mixing channels per joint.
+
+    x: (L, tau, N, C), w: (C, tau, D) -> (L, N, D); no mixing across joints.
+    """
+    x, w = ad._as_tensor(x), ad._as_tensor(w)
+    if x.values.ndim != 4 or w.values.ndim != 3:
+        raise ad.ShapeError(f"collapse_window: x {x.values.shape}, w {w.values.shape}")
+    if x.values.shape[1] != w.values.shape[1] or x.values.shape[3] != w.values.shape[0]:
+        raise ad.ShapeError(f"collapse_window: x {x.values.shape} does not match w {w.values.shape}")
+    out = DTensor(np.einsum("ltnc,ctd->lnd", x.values, w.values, optimize=True),
+                  requires_grad=ad._needs(x, w))
+
+    def pull(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x.ensure_grad()[...] += np.einsum("lnd,ctd->ltnc", g, w.values, optimize=True)
+        if w.requires_grad:
+            w.ensure_grad()[...] += np.einsum("ltnc,lnd->ctd", x.values, g, optimize=True)
+
+    ad._record(out, pull)
+    return out
+
+
 def tiled_multiscale(graph, scales, tau):
     """Normalised (tau*N, tau*N) window matrix of each scale 0..scales."""
-    return tuple(gr.normalize(gr.tile_window(m, tau))
+    return tuple(gr.normalize(tile_window(m, tau))
                  for m in gr.disentangle_multiscale(graph.adjacency, scales))
 
 
@@ -34,7 +72,7 @@ def collapse_time(window, weight, tau, joints):
     """Collapse a (tau*N, C) window to (N, D) with learned per-frame weights."""
     c = window.values.shape[-1]
     unrolled = ad.reshape(window, (1, tau, joints, c))
-    return ad.reshape(ad.collapse_window(unrolled, weight), (joints, weight.values.shape[2]))
+    return ad.reshape(collapse_window(unrolled, weight), (joints, weight.values.shape[2]))
 
 
 def extract_dense(extractor, tiled, clips):
