@@ -14,6 +14,7 @@ passthrough stay here.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -474,28 +475,126 @@ def lstm_cell_values(f, h_prev, c_prev, w_ih, w_hh, b) -> tuple[np.ndarray, ...]
 
 
 # Bytes of a weight-gradient row block in lstm_timeline's backward pass: the
-# block and one term buffer of this size stay in cache across all L steps.
+# block and one term buffer of this size stay in cache across the steps that
+# one thread adds to it at a time.
 OUTER_BLOCK_BYTES = 256 * 1024
+# Steps the BPTT walk finishes between two releases of its dz rows to the
+# follower thread. At the paper point, 4, 16 and 64 gave the same backward
+# time within noise.
+FOLLOW_CHUNK_STEPS = 16
+# Outer-term element operations (L times the weight-gradient elements) above
+# which lstm_timeline's backward starts the follower thread. The follower
+# takes the GIL from the walk's Python loop between its numpy calls, and on a
+# shared 2-core host the second core is not always free. Measured per
+# training backward with one BLAS thread, follower against caller only, 3-4
+# runs per size: from 3 Mi terms (hidden 128, 30 clips: the acceptance
+# point) to 112 Mi, a run came out anywhere from 12% slower to 38% faster;
+# from 128 Mi (hidden 1024, 30 clips) on, 12 of 13 runs came out 13-39%
+# faster and one 0.5% slower; the paper point (1275 Mi) 1.40-1.59 s ->
+# 0.86-1.09 s.
+FOLLOW_MIN_TERMS = 2**27
 
 
-def _add_outer_terms(grad: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """grad += outer(left[i], right[i]) for i = L-1 down to 0, term by term.
+class _OuterTerms:
+    """grad += outer(left[i], right[i]) for each (grad, left) pair and for
+    i = L-1 down to 0, term by term, over row blocks of about
+    OUTER_BLOCK_BYTES.
 
     Each term is rounded before it is added, as a per-step tape's
-    `grad += outer` does, so every element sees the same additions in the
-    same order. The work runs over blocks of grad's rows, each of about
-    OUTER_BLOCK_BYTES, so a block stays in cache across all L steps instead
-    of the whole gradient streaming through memory once per step.
+    `grad += outer` does. A block records the lowest step already added to
+    it and is guarded by its own lock, so whichever thread takes it adds the
+    next steps down, and every element sees the same additions in the same
+    order whatever threads took its block. A block stays in cache across the
+    steps one thread adds at a time, instead of the whole gradient streaming
+    through memory once per step.
+
+    The BPTT walk writes the rows of `right` newest first and releases them
+    with `release`. Above FOLLOW_MIN_TERMS a follower thread sweeps the
+    blocks in order, bringing each down to the step released so far, while
+    the walk runs on; `finish`, called once every row is written, has the
+    calling thread take blocks from the far end until the two meet. Below it
+    no thread starts and `finish` adds every block. numpy releases the GIL
+    inside the multiply and add loops, so the two threads run on two cores.
     """
-    rows = max(1, OUTER_BLOCK_BYTES // max(1, grad.shape[1] * grad.itemsize))
-    term = np.empty((min(rows, grad.shape[0]), grad.shape[1]), dtype=grad.dtype)
-    for start in range(0, grad.shape[0], rows):
-        block = grad[start:start + rows]
-        part = term[:block.shape[0]]
-        column = left[:, start:start + rows, None]
-        for i in reversed(range(left.shape[0])):
-            np.multiply(column[i], right[i], out=part)
-            block += part
+
+    def __init__(self, pairs, right: np.ndarray | None, count: int):
+        grads = [grad for grad, _ in pairs]
+        self.right = right
+        self.count = count
+        self.blocks = []   # [gradient rows, left columns (L, rows, 1), lowest step added, lock]
+        if grads:
+            width, dtype = grads[0].shape[1], np.result_type(*grads)
+            rows = max(1, OUTER_BLOCK_BYTES // max(1, width * dtype.itemsize))
+            self.term_shape = (min(rows, max(g.shape[0] for g in grads)), width, dtype)
+            self.blocks = [[grad[start:start + rows], left[:, start:start + rows, None],
+                            count, threading.Lock()]
+                           for grad, left in pairs for start in range(0, grad.shape[0], rows)]
+        self.released = count   # rows of `right` from this step on are final
+        self.stopped = False
+        self.error: BaseException | None = None
+        self.changed = threading.Condition()
+        self.worker = None
+        if grads and count * sum(grad.size for grad in grads) > FOLLOW_MIN_TERMS:
+            self.worker = threading.Thread(target=self._follow, name="lstm-outer-terms",
+                                           daemon=True)
+            self.worker.start()
+
+    def _term(self) -> np.ndarray:
+        rows, width, dtype = self.term_shape
+        return np.empty((rows, width), dtype=dtype)
+
+    def _bring_down(self, block, stop: int, term: np.ndarray) -> None:
+        """Add the block's terms below its lowest added step, down to `stop`."""
+        grad, column, _, lock = block
+        with lock:
+            part = term[:grad.shape[0]]
+            for i in range(block[2] - 1, stop - 1, -1):
+                np.multiply(column[i], self.right[i], out=part)
+                grad += part
+            block[2] = min(block[2], stop)
+
+    def _follow(self) -> None:
+        swept = self.count   # every block holds the steps from here on
+        try:
+            term = self._term()
+            while swept:
+                with self.changed:
+                    self.changed.wait_for(lambda: self.released < swept or self.stopped)
+                    if self.stopped:
+                        return
+                    swept = self.released
+                for block in self.blocks:
+                    if self.stopped:
+                        return
+                    self._bring_down(block, swept, term)
+        except BaseException as exc:   # re-raised on the calling thread by close
+            self.error = exc
+
+    def release(self, step: int) -> None:
+        """Rows `step` and later of `right` are final."""
+        if self.worker is not None:
+            with self.changed:
+                self.released = step
+                self.changed.notify()
+
+    def finish(self) -> None:
+        """Add every term left, once the walk has written every row."""
+        self.release(0)
+        if self.blocks:
+            term = self._term()
+            for block in reversed(self.blocks):
+                self._bring_down(block, 0, term)
+
+    def close(self) -> None:
+        """Stop and join the follower, and raise what it raised."""
+        if self.worker is None:
+            return
+        with self.changed:
+            self.stopped = True
+            self.changed.notify()
+        self.worker.join()
+        if self.error is not None:
+            raise self.error
 
 
 def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
@@ -508,11 +607,19 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     per-step nodes give (tests/lstm_oracle.py records them):
     - the forward pass runs lstm_cell_values per row, the kernel that
       OnlineBranch.online_step runs too;
-    - the backward pass first walks the steps newest first with the per-step
+    - the backward pass walks the steps newest first with the per-step
       nodes' operations in their order, keeping each step's gate gradient
       dz as a row of an (L, 4H) array;
-    - it then adds the w_hh and w_ih terms, outer(h_{i-1}, dz_i) and
-      outer(x_i, dz_i), newest step first, in cache-sized row blocks.
+    - the w_hh and w_ih terms, outer(h_{i-1}, dz_i) and outer(x_i, dz_i),
+      are added newest step first in cache-sized row blocks (_OuterTerms).
+      Step i's terms need only row i of dz, which the walk writes in the
+      order the terms are added, so above FOLLOW_MIN_TERMS a follower
+      thread adds them on the second core while the walk runs, and the
+      caller joins in from the far end of the blocks once the walk ends.
+      Whichever thread takes a block adds its terms from the step below the
+      lowest it already holds, so each element still sees the same rounded
+      terms in the same order, and the gradients' bits do not depend on
+      the threads' timing.
     """
     x, w_ih, w_hh, b, w_a, b_a = (_as_tensor(t) for t in (x, w_ih, w_hh, b, w_a, b_a))
     hidden = w_hh.values.shape[0]
@@ -539,44 +646,50 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     def pull(g: np.ndarray) -> None:
         dx = np.empty_like(x.values) if x.requires_grad else None
         dz_rows = np.empty((count, 4 * hidden)) if recurrent else None
-        dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
-        for i in reversed(range(count)):
-            gate_i, gate_f, cand, gate_o, c, tanh_c, h = cells[i]
-            y = rows[i]
-            dlogits = y * (g[i] - (g[i] * y).sum(axis=-1, keepdims=True))
-            if w_a.requires_grad:
-                w_a.ensure_grad()[...] += h.reshape(1, -1).T @ dlogits.reshape(1, -1)
-            if b_a.requires_grad:
-                b_a.ensure_grad()[...] += dlogits
-            if not recurrent:
-                continue
-            dh = dlogits @ w_a.values.T
-            if dh_next is not None:
-                dh = dh_next + dh
-            dc = dh * gate_o * (1.0 - tanh_c * tanh_c)
-            if dc_next is not None:
-                dc = dc_next + dc
-            c_prev = cells[i - 1][4] if i else zero
-            dz = np.concatenate([
-                dc * cand * gate_i * (1.0 - gate_i),
-                dc * c_prev * gate_f * (1.0 - gate_f),
-                dc * gate_i * (1.0 - cand * cand),
-                dh * tanh_c * gate_o * (1.0 - gate_o)], out=dz_rows[i])
-            if b.requires_grad:
-                b.ensure_grad()[...] += dz
-            if dx is not None:
-                dx[i] = dz @ w_ih.values.T
-            dh_next = dz @ w_hh.values.T if i else None
-            dc_next = dc * gate_f
-        if not recurrent:
-            return
-        if dx is not None:
-            x.ensure_grad()[...] += dx
+        pairs = []
         if w_hh.requires_grad:
             h_prev = np.stack([zero] + [cell[6] for cell in cells[:-1]])
-            _add_outer_terms(w_hh.ensure_grad(), h_prev, dz_rows)
+            pairs.append((w_hh.ensure_grad(), h_prev))
         if w_ih.requires_grad:
-            _add_outer_terms(w_ih.ensure_grad(), x.values, dz_rows)
+            pairs.append((w_ih.ensure_grad(), x.values))
+        terms = _OuterTerms(pairs, dz_rows, count)
+        try:
+            dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
+            for i in reversed(range(count)):
+                gate_i, gate_f, cand, gate_o, c, tanh_c, h = cells[i]
+                y = rows[i]
+                dlogits = y * (g[i] - (g[i] * y).sum(axis=-1, keepdims=True))
+                if w_a.requires_grad:
+                    w_a.ensure_grad()[...] += h.reshape(1, -1).T @ dlogits.reshape(1, -1)
+                if b_a.requires_grad:
+                    b_a.ensure_grad()[...] += dlogits
+                if not recurrent:
+                    continue
+                dh = dlogits @ w_a.values.T
+                if dh_next is not None:
+                    dh = dh_next + dh
+                dc = dh * gate_o * (1.0 - tanh_c * tanh_c)
+                if dc_next is not None:
+                    dc = dc_next + dc
+                c_prev = cells[i - 1][4] if i else zero
+                dz = np.concatenate([
+                    dc * cand * gate_i * (1.0 - gate_i),
+                    dc * c_prev * gate_f * (1.0 - gate_f),
+                    dc * gate_i * (1.0 - cand * cand),
+                    dh * tanh_c * gate_o * (1.0 - gate_o)], out=dz_rows[i])
+                if (count - i) % FOLLOW_CHUNK_STEPS == 0:
+                    terms.release(i)
+                if b.requires_grad:
+                    b.ensure_grad()[...] += dz
+                if dx is not None:
+                    dx[i] = dz @ w_ih.values.T
+                dh_next = dz @ w_hh.values.T if i else None
+                dc_next = dc * gate_f
+            if dx is not None:
+                x.ensure_grad()[...] += dx
+            terms.finish()
+        finally:
+            terms.close()
 
     _record(out, pull)
     return out

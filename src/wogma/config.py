@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,8 +81,22 @@ class RunConfig:
     out_dir: str = "out"
 
 
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
-_RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"train"}
+_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig) if f.name != "train"}
+# Per field annotation: the types a value may have and how to name them.
+# bool is a subclass of int, so it is told apart: an int or float field
+# rejects it and a bool field takes nothing else.
+_ACCEPTED = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+             "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _check_types(data: dict, fields: dict) -> None:
+    for name, value in data.items():
+        kind = fields[name]
+        types, wanted = _ACCEPTED[kind]
+        accepted = isinstance(value, types) and isinstance(value, bool) == (kind == "bool")
+        if not accepted or isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"config key {name!r} must be {wanted}, got {value!r}")
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
@@ -89,22 +104,25 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
-    unknown = set(data) - _TRAIN_FIELDS
+    """Build a TrainConfig from a JSON object; unknown keys and values of the
+    wrong type are rejected."""
+    unknown = set(data) - _TRAIN_FIELDS.keys()
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return TrainConfig(**data).validate()
-    except TypeError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    _check_types(data, _TRAIN_FIELDS)
+    return TrainConfig(**data).validate()
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from a flat JSON object; unknown keys are rejected."""
-    unknown = set(data) - _TRAIN_FIELDS - _RUN_FIELDS
+    """Build a RunConfig from a flat JSON object; unknown keys and values of
+    the wrong type are rejected."""
+    unknown = set(data) - _TRAIN_FIELDS.keys() - _RUN_FIELDS.keys()
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    files = {k: v for k, v in data.items() if k in _RUN_FIELDS}
+    _check_types(files, _RUN_FIELDS)
     train = train_config_from_dict({k: v for k, v in data.items() if k in _TRAIN_FIELDS})
-    return RunConfig(train=train, **{k: v for k, v in data.items() if k in _RUN_FIELDS})
+    return RunConfig(train=train, **files)
 
 
 def read_config_file(path) -> dict:

@@ -3,7 +3,10 @@
 Training regenerates pseudo labels from the pseudo-label branch's current
 outputs at every step (the freshest teacher) and sums the three loss terms;
 ablation flags drop individual terms or swap whole sub-networks. A fixed
-seed gives a bitwise-reproducible trajectory in single-threaded mode.
+seed gives a bitwise-reproducible trajectory with one BLAS thread. The
+follower thread that the LSTM backward starts at large sizes
+(autodiff.lstm_timeline) keeps it so: it adds every gradient term in the
+order the calling thread alone would.
 
 The optimiser owns its state. The first `train` call on a model moves
 every parameter's values into a ParameterArena of four flat buffers (values,

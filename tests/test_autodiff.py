@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -187,18 +191,36 @@ def timeline_inputs(seed, count=9, feature_dim=5, hidden=6, classes=3):
             rng.standard_normal(classes) * 0.3]
 
 
-def run_two_videos(timeline, arrays, second_x, probes, x_requires_grad):
-    """Forward and backward over two videos, gradients gathered as in a batch."""
-    weights = [DTensor(a.copy(), requires_grad=True) for a in arrays[1:]]
+def run_two_videos(timeline, arrays, second_x, probes, frozen=()):
+    """Forward and backward over two videos, gradients gathered as in a batch;
+    the inputs at the indices in `frozen` take no gradient."""
+    weights = [DTensor(a.copy(), requires_grad=j not in frozen)
+               for j, a in enumerate(arrays[1:], start=1)]
     results = []
     for x, probe in zip((arrays[0], second_x), probes):
-        x = DTensor(x.copy(), requires_grad=x_requires_grad)
+        x = DTensor(x.copy(), requires_grad=0 not in frozen)
         with Tape() as tape:
             out = timeline(x, *weights)
             loss = ad.reduce_sum(ad.mul(out, DTensor(probe)))
         tape.backward(loss)
         results += [out.values, x.grad]
     return results + [w.grad for w in weights]
+
+
+def assert_same_bits(fused, steps):
+    for a, b in zip(fused, steps):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def two_video_inputs(seed, count):
+    arrays = timeline_inputs(seed, count=count)
+    rng = np.random.default_rng(seed + 1)
+    second_x = rng.standard_normal(arrays[0].shape)
+    probes = [rng.standard_normal((count, 3)) for _ in range(2)]
+    return arrays, second_x, probes
 
 
 @pytest.mark.parametrize("block_rows", [None, 4], ids=["default-block", "4-row-block"])
@@ -209,18 +231,122 @@ def test_lstm_timeline_equals_per_step_tape_bitwise(x_requires_grad, count, bloc
     if block_rows is not None:
         # w_hh (6 rows) and w_ih (5 rows) span a partial last block
         monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", block_rows * 4 * 6 * 8)
-    arrays = timeline_inputs(31, count=count)
-    rng = np.random.default_rng(32)
-    second_x = rng.standard_normal(arrays[0].shape)
-    probes = [rng.standard_normal((count, 3)) for _ in range(2)]
-    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, x_requires_grad)
-    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, x_requires_grad)
-    for a, b in zip(fused, steps):
-        if a is None or b is None:
-            assert a is None and b is None and not x_requires_grad
-        else:
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+    arrays, second_x, probes = two_video_inputs(31, count)
+    frozen = () if x_requires_grad else (0,)
+    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
+    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
+    assert_same_bits(fused, steps)
+    assert (fused[1] is None) == (not x_requires_grad)
+
+
+CHUNK = 4
+
+
+@pytest.fixture
+def followed(monkeypatch):
+    """Start lstm_timeline's follower thread at any size, with CHUNK-step
+    releases and 2-row blocks; the list collects the followers that ran.
+
+    At small sizes the walk would finish before the follower gets the GIL,
+    so each release mid-walk waits until the follower has brought every
+    block down to the released step; the caller and the follower then share
+    the last chunk's blocks from both ends.
+    """
+    monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 0)
+    monkeypatch.setattr(ad, "FOLLOW_CHUNK_STEPS", CHUNK)
+    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 2 * 4 * 6 * 8)
+    threads = []
+    follow, release = ad._OuterTerms._follow, ad._OuterTerms.release
+
+    def recorded(self):
+        threads.append(threading.current_thread())
+        follow(self)
+
+    def lockstep(self, step):
+        release(self, step)
+        deadline = time.monotonic() + 10.0
+        while (step and self.worker is not None and self.worker.is_alive()
+               and any(block[2] > step for block in self.blocks)
+               and time.monotonic() < deadline):
+            time.sleep(1e-4)
+
+    monkeypatch.setattr(ad._OuterTerms, "_follow", recorded)
+    monkeypatch.setattr(ad._OuterTerms, "release", lockstep)
+    return threads
+
+
+FROZEN = {"all-grads": (), "x-frozen": (0,), "w_ih-frozen": (1,), "w_hh-frozen": (2,),
+          "no-weight-grad": (1, 2)}
+
+
+@pytest.mark.parametrize("frozen", FROZEN.values(), ids=FROZEN)
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_followed_backward_equals_per_step_tape_bitwise(followed, count, frozen):
+    arrays, second_x, probes = two_video_inputs(41, count)
+    threads = threading.active_count()
+    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
+    assert threading.active_count() == threads
+    # one follower per backward pass, none with no weight gradient to add
+    assert len(followed) == (0 if frozen == (1, 2) else 2)
+    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
+    assert_same_bits(fused, steps)
+
+
+def test_free_running_follower_keeps_bits_under_fast_switching(monkeypatch):
+    # no lockstep: the walk and the follower interleave as the interpreter
+    # switches between them, here every microsecond; a term lost or added
+    # twice in a block shows in the gradients' bits
+    monkeypatch.setattr(ad, "FOLLOW_CHUNK_STEPS", 2)
+    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1 * 4 * 6 * 8)
+    arrays, second_x, probes = two_video_inputs(45, 40)
+    monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 2**62)
+    expected = run_two_videos(ad.lstm_timeline, arrays, second_x, probes)
+    monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        runs = 0
+        while runs < 5 or (runs < 50 and time.monotonic() < deadline):
+            assert_same_bits(run_two_videos(ad.lstm_timeline, arrays, second_x, probes),
+                             expected)
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_follower_error_is_raised_by_backward(followed, monkeypatch):
+    bring_down = ad._OuterTerms._bring_down
+    failed = threading.Event()
+
+    def failing(self, block, stop, term):
+        if threading.current_thread() in followed:
+            failed.set()
+            raise RuntimeError("follower failed")
+        failed.wait(timeout=60)   # let the follower take a block first
+        bring_down(self, block, stop, term)
+
+    monkeypatch.setattr(ad._OuterTerms, "_bring_down", failing)
+    arrays, second_x, probes = two_video_inputs(43, 2 * CHUNK + 7)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="follower failed"):
+        run_two_videos(ad.lstm_timeline, arrays, second_x, probes)
+    assert threading.active_count() == threads
+    assert failed.is_set()
+
+
+def test_walk_error_stops_the_follower(followed, monkeypatch):
+    def failing(self, step):
+        raise RuntimeError("walk failed")
+
+    monkeypatch.setattr(ad._OuterTerms, "release", failing)
+    arrays, second_x, probes = two_video_inputs(44, 2 * CHUNK + 7)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="walk failed"):
+        run_two_videos(ad.lstm_timeline, arrays, second_x, probes)
+    # the follower waited for rows that never came, and was joined
+    assert len(followed) == 1
+    assert threading.active_count() == threads
 
 
 def test_lstm_timeline_gradient():

@@ -65,6 +65,28 @@ def test_unknown_config_key_exits_one(tmp_path, capsys, key, value):
     assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, wanted", [
+    ("train_data", 0, "a string"),            # fd 0: train would read stdin
+    ("out_dir", None, "a string"),
+    ("hidden", 16.5, "an integer"),
+    ("epochs", True, "an integer"),
+    ("tau", 20.0, "an integer"),
+    ("ablate_pseudo", "no", "true or false"),  # a truthy string: the ablation was on
+    ("ablate_local", 0, "true or false"),
+    ("lr", True, "a finite number"),
+    ("lr", float("nan"), "a finite number"),
+    ("weight_decay", float("inf"), "a finite number"),
+    ("weight_decay", "0", "a finite number"),
+])
+def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, key, value, wanted):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**FAST_CONFIG, key: value}))
+    assert run_cli(["train", "--config", config, "--out-dir", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert f"config key '{key}' must be {wanted}, got {value!r}" in err
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
 def test_input_channels_config_key_exits_one(tmp_path, capsys):
     # every frame has x, y and confidence: the channel count is no setting
     config = tmp_path / "c.json"

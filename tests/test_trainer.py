@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -14,9 +16,10 @@ from adam_oracle import PerParameterAdam
 from conftest import (checkpoint_field_ranges, corrupt_saved_checkpoint, micro_clips,
                       micro_config, micro_model)
 from lstm_oracle import per_step_timeline
+from wogma import autodiff as ad
 from wogma import trainer as tr
 from wogma.autodiff import Parameter
-from wogma.config import TrainConfig
+from wogma.config import TrainConfig, train_config_from_dict
 from wogma.dataset import SynthParams, synthesize
 from wogma.errors import ConfigurationError, DataFormatError
 from wogma.model import ActionDetector
@@ -212,6 +215,41 @@ def test_one_node_timeline_keeps_training_trajectory(tmp_path, small_training_co
         tr.write_metrics_csv(tmp_path / f"{name}.csv", metrics)
         outputs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("bin", "csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_follower_keeps_training_bitwise(tmp_path, small_training_config, monkeypatch):
+    # lstm_timeline's follower thread forced on at any size, then off
+    monkeypatch.setattr(ad, "FOLLOW_CHUNK_STEPS", 2)
+    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 2 * 4 * small_training_config.hidden * 8)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
+    digests = []
+    for follow_min in (0, 2**62):
+        monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", follow_min)
+        model, metrics = tr.train(small_dataset(), small_training_config)
+        path = tmp_path / f"{follow_min}.bin"
+        tr.save_checkpoint(path, model, epoch=small_training_config.epochs)
+        tr.write_metrics_csv(tmp_path / f"{follow_min}.csv", metrics)
+        digests.append([hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (path, tmp_path / f"{follow_min}.csv")])
+        # one follower per video step when forced on, none when off
+        assert len(starts) == 8 * small_training_config.epochs
+    assert digests[0] == digests[1]
+
+
+def test_acceptance_point_backward_starts_no_thread(monkeypatch):
+    # train-acceptance and criterion 6 keep the caller-only path
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
+    config = TrainConfig(hidden=128, max_frames=600, epochs=1, seed=5)
+    _, metrics = tr.train(synthesize(SynthParams(n_videos=1, frames=600, seed=5)), config)
+    assert len(metrics) == 1 and not starts
+    # while the paper point's terms start one
+    paper = TrainConfig()
+    clips = paper.max_frames // paper.stride
+    assert clips * (paper.hidden + paper.feature_dim) * 4 * paper.hidden > ad.FOLLOW_MIN_TERMS
 
 
 def test_metrics_csv_reads_back_as_floats(tmp_path, small_training_config):
@@ -591,3 +629,8 @@ def test_saving_without_optimizer_makes_no_parameter_sized_buffer(tmp_path):
     largest = max(p.values.nbytes for p in model.parameters())
     peak = traced_peak(lambda: tr.save_checkpoint(tmp_path / "ck.bin", model, epoch=0))
     assert peak < 512 * 1024 < largest
+
+
+def test_config_float_field_takes_an_integer():
+    assert train_config_from_dict({"lr": 1, "weight_decay": 0}).lr == 1
+
