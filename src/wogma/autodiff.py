@@ -454,14 +454,14 @@ def take_entries(x, rows: np.ndarray, cols: np.ndarray) -> DTensor:
 # LSTM: one step on plain arrays and a whole timeline as one node
 # ---------------------------------------------------------------------------
 
-def lstm_cell_values(f, h_prev, c_prev, w_ih, w_hh, b) -> tuple[np.ndarray, ...]:
-    """One step of the standard gated recurrence on plain arrays.
+def lstm_step_values(f, h_prev, c_prev, w_ih, w_hh, b, w_a, b_a) -> tuple[np.ndarray, ...]:
+    """One step of the standard gated recurrence and its softmax head.
 
-    f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,).
-    Gate layout along the 4H axis: input, forget, candidate, output.
-    Returns (gate_i, gate_f, cand, gate_o, c, tanh_c, h); h is bounded in
-    (-1, 1), and the intermediates are what lstm_timeline's backward pass
-    needs.
+    f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,),
+    w_a: (H, K), b_a: (K,). Gate layout along the 4H axis: input, forget,
+    candidate, output. Returns (gate_i, gate_f, cand, gate_o, c, tanh_c, h, y)
+    with y = softmax(h @ w_a + b_a); h is bounded in (-1, 1), and the
+    intermediates are what lstm_timeline's backward pass needs.
     """
     hidden = h_prev.shape[0]
     z = (f @ w_ih + b) + h_prev @ w_hh
@@ -471,7 +471,8 @@ def lstm_cell_values(f, h_prev, c_prev, w_ih, w_hh, b) -> tuple[np.ndarray, ...]
     gate_o = _sigmoid_vals(z[3 * hidden:4 * hidden])
     c = gate_f * c_prev + gate_i * cand
     tanh_c = np.tanh(c)
-    return gate_i, gate_f, cand, gate_o, c, tanh_c, gate_o * tanh_c
+    h = gate_o * tanh_c
+    return gate_i, gate_f, cand, gate_o, c, tanh_c, h, _softmax_vals(h @ w_a + b_a)
 
 
 # Bytes of a weight-gradient row block in lstm_timeline's backward pass: the
@@ -605,8 +606,8 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     cell, affine and softmax per step followed by a row stack, recorded as
     one tape node, and values and gradients are bitwise the same as those
     per-step nodes give (tests/lstm_oracle.py records them):
-    - the forward pass runs lstm_cell_values per row, the kernel that
-      OnlineBranch.online_step runs too;
+    - the forward pass runs lstm_step_values per row, the kernel, head
+      included, that OnlineBranch.online_step runs too;
     - the backward pass walks the steps newest first with the per-step
       nodes' operations in their order, keeping each step's gate gradient
       dz as a row of an (L, 4H) array;
@@ -633,14 +634,15 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
             f"w_a {w_a.values.shape}, b_a {b_a.values.shape}")
     count = x.values.shape[0]
     zero = np.zeros(hidden)
-    cells, rows = [], []
+    cells = []
     h = c = zero
     for i in range(count):
-        cell = lstm_cell_values(x.values[i], h, c, w_ih.values, w_hh.values, b.values)
+        cell = lstm_step_values(x.values[i], h, c, w_ih.values, w_hh.values, b.values,
+                                w_a.values, b_a.values)
         c, h = cell[4], cell[6]
         cells.append(cell)
-        rows.append(_softmax_vals(h @ w_a.values + b_a.values))
-    out = DTensor(np.stack(rows), requires_grad=_needs(x, w_ih, w_hh, b, w_a, b_a))
+    out = DTensor(np.stack([cell[7] for cell in cells]),
+                  requires_grad=_needs(x, w_ih, w_hh, b, w_a, b_a))
     recurrent = any(t.requires_grad for t in (x, w_ih, w_hh, b))
 
     def pull(g: np.ndarray) -> None:
@@ -656,8 +658,7 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
         try:
             dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
             for i in reversed(range(count)):
-                gate_i, gate_f, cand, gate_o, c, tanh_c, h = cells[i]
-                y = rows[i]
+                gate_i, gate_f, cand, gate_o, c, tanh_c, h, y = cells[i]
                 dlogits = y * (g[i] - (g[i] * y).sum(axis=-1, keepdims=True))
                 if w_a.requires_grad:
                     w_a.ensure_grad()[...] += h.reshape(1, -1).T @ dlogits.reshape(1, -1)

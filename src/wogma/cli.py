@@ -2,15 +2,17 @@
 detection, and plot emission.
 
 Exit codes: 0 success, 1 configuration error (including bad flags),
-2 data error, 3 numeric failure. WOGMA_SEED provides a fallback seed when
-neither a flag nor the config file sets one.
+2 data error, 3 numeric failure.
+
+`train` lays its settings in layers: defaults < WOGMA_SEED < --config <
+flags, with the file valid on its own, so WOGMA_SEED counts only when neither
+a flag nor the file sets the seed; `gen-data` reads it only without --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import plots
-from .config import RunConfig, fallback_seed, read_config_file, run_config_from_dict
+from .config import RunConfig, read_config_file, run_config_from_dict, with_env_seed
 from .dataset import SynthParams, check_frames, load_sequences, save_sequences, synthesize
 from .errors import ConfigurationError, DataFormatError, NumericalError
 from .evaluation import evaluate
@@ -42,6 +44,14 @@ def probability(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """A --max-videos value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def fraction_list(text: str) -> list[float]:
     """A --fractions value: comma-separated observed fractions in (0, 1]."""
     values = [float(v) for v in text.split(",") if v]
@@ -59,20 +69,21 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("gen-data", help="write a synthetic JSONL dataset")
     gen.add_argument("--out", required=True, help="output JSONL path")
-    gen.add_argument("--videos", type=int, default=200)
-    gen.add_argument("--frames", type=int, default=600)
-    gen.add_argument("--fps", type=float, default=20.0)
-    gen.add_argument("--positive-fraction", type=float, default=0.5)
-    gen.add_argument("--segment-len-min", type=int, default=100)
-    gen.add_argument("--segment-len-max", type=int, default=200)
-    gen.add_argument("--noise", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--videos", dest="n_videos", type=int)
+    gen.add_argument("--frames", type=int)
+    gen.add_argument("--fps", type=float)
+    gen.add_argument("--positive-fraction", type=float)
+    gen.add_argument("--segment-len-min", type=int)
+    gen.add_argument("--segment-len-max", type=int)
+    gen.add_argument("--noise", type=float)
+    gen.add_argument("--seed", type=int)
     gen.set_defaults(func=cmd_gen_data)
 
     tr = sub.add_parser("train", help="train a model and write checkpoint + metrics")
     tr.add_argument("--config", default=None,
                     help="JSON object of TrainConfig fields, train_data and out_dir")
-    tr.add_argument("--data", default=None, help="training JSONL (overrides config)")
+    tr.add_argument("--data", dest="train_data", default=None,
+                    help="training JSONL (overrides config)")
     tr.add_argument("--out-dir", default=None)
     tr.add_argument("--epochs", type=int, default=None)
     tr.add_argument("--seed", type=int, default=None)
@@ -80,9 +91,9 @@ def build_parser() -> _Parser:
     tr.add_argument("--hidden", type=int, default=None)
     tr.add_argument("--max-frames", type=int, default=None)
     tr.add_argument("--batch-size", type=int, default=None)
-    tr.add_argument("--ablate-pseudo", action="store_true")
-    tr.add_argument("--ablate-local", action="store_true")
-    tr.add_argument("--ablate-longrange", action="store_true")
+    tr.add_argument("--ablate-pseudo", action="store_true", default=None)
+    tr.add_argument("--ablate-local", action="store_true", default=None)
+    tr.add_argument("--ablate-longrange", action="store_true", default=None)
     tr.add_argument("--quiet", action="store_true")
     tr.set_defaults(func=cmd_train)
 
@@ -112,32 +123,23 @@ def build_parser() -> _Parser:
     pl.add_argument("--data", default=None, help="dataset JSONL for gt bands")
     pl.add_argument("--instances", default=None, help="instances.json from detect")
     pl.add_argument("--out-dir", default="out")
-    pl.add_argument("--max-videos", type=int, default=8)
+    pl.add_argument("--max-videos", type=positive_int, default=8)
     pl.set_defaults(func=cmd_plot)
     return parser
-
-
-def _resolve_seed(flag_seed, file_had_seed: bool, config_seed: int) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if file_had_seed:
-        return config_seed
-    env = fallback_seed()
-    return env if env is not None else config_seed
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _flag_settings(args, *others) -> dict:
+    """The flags the user set, by dest, but `others`, which set nothing."""
+    return {name: value for name, value in vars(args).items()
+            if value is not None and name not in ("command", "func", *others)}
+
+
 def cmd_gen_data(args) -> int:
-    seed = _resolve_seed(args.seed, False, 0)
-    params = SynthParams(n_videos=args.videos, frames=args.frames, fps=args.fps,
-                         positive_fraction=args.positive_fraction,
-                         segment_len_min=args.segment_len_min,
-                         segment_len_max=args.segment_len_max,
-                         noise=args.noise, seed=seed)
-    sequences = synthesize(params)
+    sequences = synthesize(SynthParams(**with_env_seed(_flag_settings(args, "out"))))
     save_sequences(args.out, sequences)
     positives = sum(s.labels[0] for s in sequences)
     print(f"wrote {len(sequences)} videos ({positives} positive) to {args.out}")
@@ -145,26 +147,13 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_run(args) -> RunConfig:
-    raw = {} if args.config is None else read_config_file(args.config)
-    run = run_config_from_dict(raw)
-    overrides = {"epochs": args.epochs, "lr": args.lr,
-                 "hidden": args.hidden, "max_frames": args.max_frames,
-                 "batch_size": args.batch_size}
-    train_cfg = run.train
-    for name, value in overrides.items():
-        if value is not None:
-            train_cfg = dataclasses.replace(train_cfg, **{name: value})
-    for flag in ("ablate_pseudo", "ablate_local", "ablate_longrange"):
-        if getattr(args, flag):
-            train_cfg = dataclasses.replace(train_cfg, **{flag: True})
-    train_cfg = dataclasses.replace(
-        train_cfg, seed=_resolve_seed(args.seed, "seed" in raw, train_cfg.seed))
-    run.train = train_cfg.validate()
-    if args.data is not None:
-        run.train_data = args.data
-    if args.out_dir is not None:
-        run.out_dir = args.out_dir
-    return run
+    """The run of `train`: defaults < WOGMA_SEED < --config < flags, the
+    flags laid over the file by their dests, the field names. The file must
+    build a valid run on its own, even where a flag overrides a value."""
+    file = {} if args.config is None else read_config_file(args.config)
+    run_config_from_dict(file)
+    flags = _flag_settings(args, "config", "quiet")
+    return run_config_from_dict(with_env_seed({**file, **flags}))
 
 
 def cmd_train(args) -> int:
@@ -274,11 +263,31 @@ def cmd_detect(args) -> int:
     return 0
 
 
+def _parsed(path, parse):
+    """parse(path); a file it cannot read or parse raises DataFormatError."""
+    try:
+        return parse(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: unreadable plot input: {exc!r}") from exc
+
+
+def _read_early_curve(path) -> list[tuple[float, float]]:
+    report = json.loads(Path(path).read_text())
+    return [(float(f), float(a)) for f, a in report.get("early_curve", [])]
+
+
+def _read_instance_spans(path) -> dict:
+    spans = {}
+    for inst in json.loads(Path(path).read_text()):
+        spans.setdefault(inst["video_id"], []).append((inst["start_frame"], inst["end_frame"]))
+    return spans
+
+
 def _read_timelines_csv(path):
     rows = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        action_col = next(reader).index("prob_class_1")
+        action_col = next(reader, []).index("prob_class_1")
         for parts in reader:
             rows.setdefault(parts[0], []).append(
                 (int(parts[2]), int(parts[3]), float(parts[action_col])))
@@ -295,8 +304,7 @@ def cmd_plot(args) -> int:
             print(f"warning: report {args.report} missing, skipping curve",
                   file=sys.stderr)
         else:
-            report = json.loads(Path(args.report).read_text())
-            curve = [(float(f), float(a)) for f, a in report.get("early_curve", [])]
+            curve = _parsed(args.report, _read_early_curve)
             if curve:
                 (out_dir / "auc_vs_fraction.svg").write_text(plots.curve_svg(curve))
                 print(f"wrote {out_dir / 'auc_vs_fraction.svg'}")
@@ -316,10 +324,8 @@ def cmd_plot(args) -> int:
                                                  (seq.gt_segments or [])]
             instances_by_video = {}
             if args.instances is not None and Path(args.instances).exists():
-                for inst in json.loads(Path(args.instances).read_text()):
-                    instances_by_video.setdefault(inst["video_id"], []).append(
-                        (inst["start_frame"], inst["end_frame"]))
-            timelines = _read_timelines_csv(args.timelines)
+                instances_by_video = _parsed(args.instances, _read_instance_spans)
+            timelines = _parsed(args.timelines, _read_timelines_csv)
             for video_id in list(timelines)[:args.max_videos]:
                 spans = [(s, e) for s, e, _ in timelines[video_id]]
                 probs = [p for _, _, p in timelines[video_id]]

@@ -1,4 +1,7 @@
-"""Training and run configuration with exhaustive schema validation."""
+"""Training and run configuration. Settings check themselves when they are
+built: TrainConfig, RunConfig and dataset.SynthParams are frozen, and their
+__post_init__ raises ConfigurationError on a value of the wrong type or range.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +17,28 @@ from .errors import ConfigurationError
 SEED_ENV_VAR = "WOGMA_SEED"
 
 
-@dataclass
+# Per field annotation: the types a value may have and how to name them.
+# bool is a subclass of int, so it is told apart: an int or float field
+# rejects it and a bool field takes nothing else.
+_ACCEPTED = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+             "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def check_field_types(settings) -> None:
+    """Raise ConfigurationError naming the first field of the dataclass
+    `settings` whose value is of the wrong type. RunConfig.train, the one
+    field that is no int, float, bool or str, is built by the program."""
+    for f in dataclasses.fields(settings):
+        if f.type not in _ACCEPTED:
+            continue
+        types, wanted = _ACCEPTED[f.type]
+        value = getattr(settings, f.name)
+        accepted = isinstance(value, types) and isinstance(value, bool) == (f.type == "bool")
+        if not accepted or isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"config key {f.name!r} must be {wanted}, got {value!r}")
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     """Model and optimisation settings.
 
@@ -48,7 +72,8 @@ class TrainConfig:
     conv_layers: int = 2
     conv_kernel: int = 3
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
+        check_field_types(self)
         for name in ("theta_class", "theta_score"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -69,10 +94,9 @@ class TrainConfig:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
             raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """TrainConfig plus the file locations of a `train` run."""
 
@@ -80,49 +104,25 @@ class RunConfig:
     train_data: str = "train.jsonl"
     out_dir: str = "out"
 
-
-_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig) if f.name != "train"}
-# Per field annotation: the types a value may have and how to name them.
-# bool is a subclass of int, so it is told apart: an int or float field
-# rejects it and a bool field takes nothing else.
-_ACCEPTED = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
-             "bool": (bool, "true or false"), "str": (str, "a string")}
+    def __post_init__(self):
+        check_field_types(self)
 
 
-def _check_types(data: dict, fields: dict) -> None:
-    for name, value in data.items():
-        kind = fields[name]
-        types, wanted = _ACCEPTED[kind]
-        accepted = isinstance(value, types) and isinstance(value, bool) == (kind == "bool")
-        if not accepted or isinstance(value, float) and not math.isfinite(value):
-            raise ConfigurationError(f"config key {name!r} must be {wanted}, got {value!r}")
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
+_RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"train"}
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
-    """Build a TrainConfig from a JSON object; unknown keys and values of the
-    wrong type are rejected."""
-    unknown = set(data) - _TRAIN_FIELDS.keys()
+    """Build a TrainConfig from a JSON object; unknown keys are rejected."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(TrainConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    _check_types(data, _TRAIN_FIELDS)
-    return TrainConfig(**data).validate()
+    return TrainConfig(**data)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:
-    """Build a RunConfig from a flat JSON object; unknown keys and values of
-    the wrong type are rejected."""
-    unknown = set(data) - _TRAIN_FIELDS.keys() - _RUN_FIELDS.keys()
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    files = {k: v for k, v in data.items() if k in _RUN_FIELDS}
-    _check_types(files, _RUN_FIELDS)
-    train = train_config_from_dict({k: v for k, v in data.items() if k in _TRAIN_FIELDS})
-    return RunConfig(train=train, **files)
+    """Build a RunConfig from a flat JSON object; unknown keys are rejected."""
+    train = train_config_from_dict({k: v for k, v in data.items() if k not in _RUN_FIELDS})
+    return RunConfig(train=train, **{k: v for k, v in data.items() if k in _RUN_FIELDS})
 
 
 def read_config_file(path) -> dict:
@@ -139,12 +139,13 @@ def read_config_file(path) -> dict:
     return raw
 
 
-def fallback_seed() -> int | None:
-    """Seed from the WOGMA_SEED environment variable, if set."""
+def with_env_seed(settings: dict) -> dict:
+    """`settings`, with the seed from the WOGMA_SEED environment variable
+    added when they set none and the variable is set."""
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
+    if "seed" in settings or raw is None:
+        return settings
     try:
-        return int(raw)
+        return {**settings, "seed": int(raw)}
     except ValueError as exc:
         raise ConfigurationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_field_types
 from .errors import ConfigurationError, DataFormatError
 from .graph import JOINT_COUNT, L_HIP, NECK, R_HIP
 
@@ -217,7 +218,20 @@ def preprocess(seq: SkeletonSequence, max_frames: int) -> SkeletonSequence:
 # Synthetic data
 # ---------------------------------------------------------------------------
 
-@dataclass
+# The motion model: segments per positive video, the frames between them,
+# and (low, high) ranges of amplitudes (100-unit trunk) and frequencies (Hz).
+SEGMENTS_PER_VIDEO = (1, 3)
+SEGMENT_GAP = 20
+FIDGET_AMP = (6.0, 12.0)
+FIDGET_FREQ = (2.0, 5.0)
+FIDGET_WAVES = 2
+SWING_AMP = (30.0, 60.0)
+SWING_FREQ = (0.15, 0.4)
+DRIFT_AMP = (5.0, 15.0)
+DRIFT_FREQ = (0.05, 0.15)
+
+
+@dataclass(frozen=True)
 class SynthParams:
     """Generator knobs; defaults give a minutes-scale separable dataset.
 
@@ -230,24 +244,21 @@ class SynthParams:
     frames: int = 600
     fps: float = 20.0
     positive_fraction: float = 0.5
-    segments_min: int = 1
-    segments_max: int = 3
     segment_len_min: int = 100
     segment_len_max: int = 200
-    segment_gap: int = 20
-    fidget_amp: tuple[float, float] = (6.0, 12.0)
-    fidget_freq: tuple[float, float] = (2.0, 5.0)
-    fidget_waves: int = 2
-    swing_amp: tuple[float, float] = (30.0, 60.0)
-    swing_freq: tuple[float, float] = (0.15, 0.4)
-    drift_amp: tuple[float, float] = (5.0, 15.0)
-    drift_freq: tuple[float, float] = (0.05, 0.15)
     noise: float = 1.0
     seed: int = 0
 
-    def validate(self) -> "SynthParams":
+    def __post_init__(self):
+        check_field_types(self)
         if self.n_videos < 1:
             raise ConfigurationError(f"n_videos must be >= 1, got {self.n_videos}")
+        if self.fps <= 0.0:
+            raise ConfigurationError(f"fps must be above 0, got {self.fps}")
+        if self.noise < 0.0:
+            raise ConfigurationError(f"noise must be >= 0, got {self.noise}")
+        if self.segment_len_min < 1:
+            raise ConfigurationError(f"segment_len_min must be >= 1, got {self.segment_len_min}")
         if self.segment_len_max > self.frames:
             raise ConfigurationError(
                 f"segment length {self.segment_len_max} exceeds video length {self.frames}")
@@ -255,23 +266,17 @@ class SynthParams:
             raise ConfigurationError("segment_len_min exceeds segment_len_max")
         if not 0.0 <= self.positive_fraction <= 1.0:
             raise ConfigurationError("positive_fraction must lie in [0, 1]")
-        # fidgety motion must stay small against the 100-unit trunk
-        if self.fidget_amp[1] > 30.0:
-            raise ConfigurationError(
-                f"fidget amplitude {self.fidget_amp[1]} too large for the trunk scale")
-        return self
 
 
 def _place_segments(rng: np.random.Generator, params: SynthParams) -> list[tuple[int, int]]:
-    count = int(rng.integers(params.segments_min, params.segments_max + 1))
+    count = int(rng.integers(SEGMENTS_PER_VIDEO[0], SEGMENTS_PER_VIDEO[1] + 1))
     placed: list[tuple[int, int]] = []
     for _ in range(count):
         length = int(rng.integers(params.segment_len_min, params.segment_len_max + 1))
         for _ in range(200):
             start = int(rng.integers(1, params.frames - length + 2))
             end = start + length - 1
-            gap = params.segment_gap
-            if all(end + gap < s or start > e + gap for s, e in placed):
+            if all(end + SEGMENT_GAP < s or start > e + SEGMENT_GAP for s, e in placed):
                 placed.append((start, end))
                 break
     placed.sort()
@@ -294,7 +299,6 @@ def _sinusoids(rng: np.random.Generator, t: np.ndarray, waves: int,
 
 def synthesize(params: SynthParams) -> list[SkeletonSequence]:
     """Deterministic synthetic dataset with video labels and gt segments."""
-    params.validate()
     rng = np.random.default_rng(params.seed)
     n_pos = int(round(params.n_videos * params.positive_fraction))
     labels = np.zeros(params.n_videos, dtype=int)
@@ -306,7 +310,7 @@ def synthesize(params: SynthParams) -> list[SkeletonSequence]:
     for idx in range(params.n_videos):
         positive = bool(labels[idx])
         coords = np.tile(BASE_POSE, (params.frames, 1, 1))
-        coords += _sinusoids(rng, t, 2, params.drift_amp, params.drift_freq)[:, None, :]
+        coords += _sinusoids(rng, t, 2, DRIFT_AMP, DRIFT_FREQ)[:, None, :]
         coords += rng.normal(0.0, params.noise, size=coords.shape)
 
         segments: list[tuple[int, int, int]] = []
@@ -315,13 +319,13 @@ def synthesize(params: SynthParams) -> list[SkeletonSequence]:
                 rows = slice(start - 1, end)
                 span = t[rows]
                 for joint in LIMB_JOINTS:
-                    coords[rows, joint] += _sinusoids(rng, span, params.fidget_waves,
-                                                      params.fidget_amp, params.fidget_freq)
+                    coords[rows, joint] += _sinusoids(rng, span, FIDGET_WAVES,
+                                                      FIDGET_AMP, FIDGET_FREQ)
                 segments.append((start, end, 1))
         else:
             swing_joints = rng.choice(LIMB_JOINTS, size=4, replace=False)
             for joint in swing_joints:
-                coords[:, joint] += _sinusoids(rng, t, 1, params.swing_amp, params.swing_freq)
+                coords[:, joint] += _sinusoids(rng, t, 1, SWING_AMP, SWING_FREQ)
 
         conf = rng.uniform(0.6, 1.0, size=(params.frames, coords.shape[1], 1))
         frames = np.concatenate([coords, conf], axis=2)

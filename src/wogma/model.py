@@ -31,7 +31,6 @@ class ActionDetector:
 
     def __init__(self, config: TrainConfig, skeleton: SkeletonGraph | None = None, *,
                  initialise: bool = True):
-        config.validate()
         self.config = config
         self.skeleton = skeleton if skeleton is not None else default_skeleton()
         self.windowing = ClipWindowing(tau=config.tau, stride=config.stride)

@@ -4,8 +4,8 @@ Each clip advances an LSTM state and emits a softmax over n_c action classes
 plus background (index 0). Row i of the timeline depends on clips 1..i only.
 The streaming path (online_step) and the training path (timeline, one tape
 node through ad.lstm_timeline) both run the one step kernel
-ad.lstm_cell_values per clip, followed by the same softmax head, so their
-outputs are bitwise identical by construction.
+ad.lstm_step_values per clip, softmax head included, so their outputs are
+bitwise identical by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter
-from .autodiff import _softmax_vals
 from .cpgb import PROB_EPS, binary_cross_entropy, topk_pool
 from .lfem import ClipWindowing
 
@@ -66,14 +65,13 @@ class OnlineBranch:
     def online_step(self, state: OnlineState, feature: np.ndarray) -> tuple[OnlineState, np.ndarray]:
         """Advance one clip; returns the new state and the (n_c+1,) softmax row.
 
-        Runs ad.lstm_cell_values, the step kernel of the training timeline,
+        Runs ad.lstm_step_values, the training timeline's step kernel and head,
         so streaming rows equal `timeline` rows bitwise by construction.
         """
-        _, _, _, _, c, _, h = ad.lstm_cell_values(
-            feature, state.h, state.c, self.params["oamb.w_ih"].values,
-            self.params["oamb.w_hh"].values, self.params["oamb.b"].values)
-        logits = h @ self.params["oamb.w_a"].values + self.params["oamb.b_a"].values
-        probs = _softmax_vals(logits)
+        p = self.params
+        _, _, _, _, c, _, h, probs = ad.lstm_step_values(
+            feature, state.h, state.c, p["oamb.w_ih"].values, p["oamb.w_hh"].values,
+            p["oamb.b"].values, p["oamb.w_a"].values, p["oamb.b_a"].values)
         return OnlineState(h=h, c=c, clips_seen=state.clips_seen + 1), probs
 
     def stream(self, features: np.ndarray) -> np.ndarray:
@@ -90,7 +88,7 @@ class OnlineBranch:
         """Differentiable timeline (L, n_c+1) over clip features (L, C_f).
 
         One tape node for the whole recurrence; its rows equal `stream`'s
-        bitwise, as both run `ad.lstm_cell_values` per clip.
+        bitwise, as both run `ad.lstm_step_values` per clip.
         """
         return ad.lstm_timeline(features, self.params["oamb.w_ih"], self.params["oamb.w_hh"],
                                 self.params["oamb.b"], self.params["oamb.w_a"],

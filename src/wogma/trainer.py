@@ -31,14 +31,14 @@ import json
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter, Tape
-from .config import TrainConfig, train_config_from_dict, train_config_to_dict
+from .config import TrainConfig, train_config_from_dict
 from .cpgb import generate_pseudo_labels, mil_loss
 from .dataset import SkeletonSequence
 from .errors import DataFormatError, NumericalError
@@ -214,7 +214,6 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
     `train` call, or `load_checkpoint(path, optimizer=True)`); otherwise a
     fresh arena starts at step 1, which fine-tunes a weights-only load.
     """
-    config.validate()
     if not dataset:
         raise DataFormatError("training dataset is empty")
     for seq in dataset:
@@ -371,7 +370,7 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
     The Adam step and moments come from `model.optimizer`; a model without
     one, or whose optimiser has not stepped, is saved at step 0 with no
     moments."""
-    config_blob = json.dumps(train_config_to_dict(model.config),
+    config_blob = json.dumps(asdict(model.config),
                              sort_keys=True).encode("utf-8")
     arena = model.optimizer
     step = 0 if arena is None else arena.step_count

@@ -79,7 +79,7 @@ def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
     f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,).
     Gate layout along the 4H axis: input, forget, candidate, output.
     Returns (h, c); h is bounded in (-1, 1) by construction.
-    ad.lstm_cell_values runs the same operations in the same order on plain
+    ad.lstm_step_values runs the same operations in the same order on plain
     arrays, and ad.lstm_timeline runs a whole sequence of steps as one node.
     """
     hidden = ad._as_tensor(h_prev).values.shape[0]

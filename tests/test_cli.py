@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from conftest import corrupt_saved_checkpoint
 from wogma import cli
 from wogma.dataset import SynthParams, save_sequences, synthesize
-from wogma.config import TrainConfig
+from wogma.config import RunConfig, TrainConfig
 from wogma.model import ActionDetector
 from wogma.trainer import save_checkpoint
 
@@ -85,6 +86,62 @@ def test_config_value_of_wrong_type_exits_one(tmp_path, capsys, key, value, want
     err = capsys.readouterr().err
     assert f"config key '{key}' must be {wanted}, got {value!r}" in err
     assert not (tmp_path / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_non_finite_lr_flag_exits_one(tmp_path, capsys, value):
+    # a flag value is checked as the same value in the config file is
+    data = tmp_path / "train.jsonl"
+    write_dataset(data)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(FAST_CONFIG))
+    assert run_cli(["train", "--config", config, "--data", data, "--out-dir", tmp_path,
+                    "--lr", value]) == 1
+    assert f"config key 'lr' must be a finite number, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
+def test_bad_config_value_exits_one_when_a_flag_overrides_it(tmp_path, capsys):
+    # the file must build a valid run on its own
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**FAST_CONFIG, "hidden": 0}))
+    assert run_cli(["train", "--config", config, "--out-dir", tmp_path, "--hidden", 8]) == 1
+    assert "hidden must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("command, skipped", [
+    (["train"], {"config", "quiet"}),
+    (["gen-data", "--out", "d.jsonl"], {"out"}),
+], ids=["train", "gen-data"])
+def test_every_setting_flag_names_a_field(command, skipped):
+    # the flags are laid over the settings by their argparse dest: a dest
+    # that names no field would be rejected as an unknown key
+    fields = {"train": {f.name for f in dataclasses.fields(RunConfig)}
+              | {f.name for f in dataclasses.fields(TrainConfig)},
+              "gen-data": {f.name for f in dataclasses.fields(SynthParams)}}[command[0]]
+    dests = set(vars(cli.build_parser().parse_args(command))) - {"command", "func"}
+    assert dests - skipped <= fields
+    assert dests & skipped == skipped
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--fps", "0", "fps must be above 0, got 0.0"),
+    ("--fps", "-20", "fps must be above 0, got -20.0"),
+    ("--fps", "nan", "config key 'fps' must be a finite number, got nan"),
+    ("--fps", "inf", "config key 'fps' must be a finite number, got inf"),
+    ("--noise", "-1", "noise must be >= 0, got -1.0"),
+    ("--noise", "nan", "config key 'noise' must be a finite number, got nan"),
+    ("--segment-len-min", "0", "segment_len_min must be >= 1, got 0"),
+], ids=["fps-0", "fps-negative", "fps-nan", "fps-inf", "noise-negative", "noise-nan",
+        "segment-len-min-0"])
+def test_gen_data_setting_the_loader_would_reject_exits_one(tmp_path, capsys, flag, value,
+                                                            message):
+    out = tmp_path / "d.jsonl"
+    assert run_cli(["gen-data", "--out", out, "--videos", 2, "--frames", 60,
+                    "--segment-len-max", 30, flag, value]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_input_channels_config_key_exits_one(tmp_path, capsys):
@@ -236,6 +293,22 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
             == (tmp_path / "envb" / "checkpoint.bin").read_bytes())
 
 
+@pytest.mark.parametrize("seed_from, code", [("flag", 0), ("file", 0), ("nowhere", 1)])
+def test_env_seed_is_read_only_when_nothing_sets_the_seed(tmp_path, monkeypatch, capsys,
+                                                          seed_from, code):
+    data = tmp_path / "train.jsonl"
+    write_dataset(data)
+    config = tmp_path / "c.json"
+    settings = {k: v for k, v in FAST_CONFIG.items() if k != "seed" or seed_from == "file"}
+    config.write_text(json.dumps(settings))
+    monkeypatch.setenv("WOGMA_SEED", "abc")
+    flags = ["--seed", "4"] if seed_from == "flag" else []
+    assert run_cli(["train", "--config", config, "--data", data, "--out-dir", tmp_path,
+                    "--quiet", *flags]) == code
+    assert ("WOGMA_SEED must be an integer, got 'abc'" in capsys.readouterr().err) == bool(code)
+    assert (tmp_path / "checkpoint.bin").exists() == (not code)
+
+
 def clip_frames(config, rng):
     """A tau x 18 x 3 clip: random coordinates, confidences in [0, 1)."""
     frames = rng.standard_normal((config.tau, 18, 3))
@@ -348,6 +421,46 @@ def test_plot_missing_inputs_warn_but_succeed(tmp_path, capsys):
     assert run_cli(["plot", "--report", tmp_path / "missing.json",
                     "--out-dir", tmp_path]) == 0
     assert "warning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_plot_max_videos_below_one_exits_one(tmp_path, capsys, value):
+    assert run_cli(["plot", "--out-dir", tmp_path / "plots", "--max-videos", value]) == 1
+    assert f"argument --max-videos: must be >= 1, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "plots").exists()
+
+
+TIMELINES_CSV = ("video_id,clip,start_frame,end_frame,prob_background,prob_class_1\n"
+                 "v0,1,1,20,0.25,0.75\nv0,2,21,40,0.5,0.5\n")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("report.json", '{"early_curve": [[0.5, 0.6]', "JSONDecodeError"),
+    ("report.json", '[[0.5, 0.6]]', "AttributeError"),
+    ("report.json", '{"early_curve": [[0.5]]}', "ValueError"),
+    ("instances.json", '[{"video_id": "v0", "end_frame": 20}]', "KeyError('start_frame')"),
+    ("instances.json", '[{"video_id": "v0"', "JSONDecodeError"),
+    ("timelines.csv", "video_id,clip,start_frame,end_frame,prob_background\nv0,1,1,20,1.0\n",
+     "'prob_class_1' is not in list"),
+    ("timelines.csv", "", "'prob_class_1' is not in list"),
+    ("timelines.csv", TIMELINES_CSV + "v0,3\n", "IndexError"),
+], ids=["report-bad-json", "report-not-object", "report-bad-curve", "instances-no-start",
+        "instances-bad-json", "timelines-no-class-column", "timelines-empty",
+        "timelines-short-row"])
+def test_plot_malformed_input_exits_two(tmp_path, capsys, name, text, message):
+    inputs = {"report.json": None, "timelines.csv": TIMELINES_CSV, "instances.json": "[]",
+              name: text}
+    for file, content in inputs.items():
+        if content is not None:
+            (tmp_path / file).write_text(content)
+    flags = ["--timelines", tmp_path / "timelines.csv", "--instances",
+             tmp_path / "instances.json"]
+    if name == "report.json":
+        flags = ["--report", tmp_path / "report.json"]
+    assert run_cli(["plot", "--out-dir", tmp_path / "plots", *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / name}: unreadable plot input: " in err
+    assert message in err
 
 
 def stdin_clip_line(config, rng, **overrides):

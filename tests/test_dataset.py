@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wogma import dataset as ds
 from wogma.errors import ConfigurationError, DataFormatError
@@ -271,3 +273,35 @@ def test_synthesize_infeasible_segment_length_rejected():
     with pytest.raises(ConfigurationError):
         ds.synthesize(ds.SynthParams(n_videos=2, frames=50, segment_len_min=60,
                                      segment_len_max=80))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_synth_params_that_builds_gives_a_dataset_the_loader_reads(tmp_path_factory,
+                                                                         data):
+    # the settings gen-data takes, at small sizes and over the edges of their
+    # checks; fps and noise stay within magnitudes a recording can have, as
+    # an fps of 5e-324 or a noise of 1e308 overflows the generator to
+    # non-finite frames
+    frames = data.draw(st.integers(0, 40), "frames")
+    segment_len_max = data.draw(st.integers(0, frames + 1), "segment_len_max")
+    try:
+        params = ds.SynthParams(
+            n_videos=data.draw(st.integers(0, 3), "n_videos"), frames=frames,
+            fps=data.draw(st.floats(1e-3, 1000.0), "fps"),
+            positive_fraction=data.draw(st.floats(0.0, 1.0), "positive_fraction"),
+            segment_len_min=data.draw(st.integers(0, segment_len_max), "segment_len_min"),
+            segment_len_max=segment_len_max,
+            noise=data.draw(st.floats(0.0, 100.0), "noise"),
+            seed=data.draw(st.integers(0, 2**32 - 1), "seed"))
+    except ConfigurationError:
+        assume(False)
+    seqs = ds.synthesize(params)
+    path = tmp_path_factory.mktemp("synth") / "d.jsonl"
+    ds.save_sequences(path, seqs)
+    loaded = ds.load_sequences(path)
+    assert len(loaded) == params.n_videos
+    for a, b in zip(seqs, loaded):
+        assert (a.video_id, a.fps, a.labels, a.gt_segments) == (
+            b.video_id, b.fps, b.labels, b.gt_segments)
+        np.testing.assert_array_equal(a.frames, b.frames)

@@ -19,7 +19,7 @@ from lstm_oracle import per_step_timeline
 from wogma import autodiff as ad
 from wogma import trainer as tr
 from wogma.autodiff import Parameter
-from wogma.config import TrainConfig, train_config_from_dict
+from wogma.config import RunConfig, TrainConfig, train_config_from_dict
 from wogma.dataset import SynthParams, synthesize
 from wogma.errors import ConfigurationError, DataFormatError
 from wogma.model import ActionDetector
@@ -634,3 +634,26 @@ def test_saving_without_optimizer_makes_no_parameter_sized_buffer(tmp_path):
 def test_config_float_field_takes_an_integer():
     assert train_config_from_dict({"lr": 1, "weight_decay": 0}).lr == 1
 
+
+@pytest.mark.parametrize("changes, message", [
+    ({"hidden": 0}, "hidden must be >= 1, got 0"),
+    ({"lr": float("nan")}, "config key 'lr' must be a finite number, got nan"),
+    ({"ablate_local": 1}, "config key 'ablate_local' must be true or false, got 1"),
+    ({"conv_kernel": 2}, "conv_kernel must be odd, got 2"),
+    ({"max_frames": 10}, "max_frames (10) must be >= tau (20)"),
+], ids=["hidden-0", "lr-nan", "ablate-int", "kernel-even", "frames-below-tau"])
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+def test_train_config_checks_itself_when_built(build, changes, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        if build == "constructor":
+            TrainConfig(**changes)
+        else:
+            dataclasses.replace(TrainConfig(), **changes)
+
+
+@pytest.mark.parametrize("settings, field", [
+    (TrainConfig(), "hidden"), (RunConfig(), "out_dir"), (SynthParams(), "noise")],
+    ids=["TrainConfig", "RunConfig", "SynthParams"])
+def test_settings_are_frozen(settings, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(settings, field, getattr(settings, field))
