@@ -73,9 +73,9 @@ class DTensor:
 class Parameter:
     """A named trainable tensor.
 
-    It holds no optimiser state: the Adam moments and the step count belong
-    to the trainer's ParameterArena (`model.optimizer`), which training
-    builds, so a model built for inference carries only its values.
+    It holds no Adam state: the moments and the step count belong to the
+    ParameterArena that one `trainer.train` call builds, so a model carries
+    only its values.
     """
 
     __slots__ = ("name", "tensor")

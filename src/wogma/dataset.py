@@ -206,12 +206,18 @@ def preprocess(seq: SkeletonSequence, max_frames: int) -> SkeletonSequence:
     centred[~valid] = 0.0
 
     frames = np.concatenate([centred, conf[:, :, None]], axis=2)
-    segments = None
-    if seq.gt_segments is not None:
-        segments = [(s, min(e, max_frames), c) for s, e, c in seq.gt_segments
-                    if s <= max_frames]
+    segments = None if seq.gt_segments is None else visible_segments(seq.gt_segments,
+                                                                      max_frames)
     return SkeletonSequence(video_id=seq.video_id, fps=seq.fps, labels=list(seq.labels),
                             frames=frames, gt_segments=segments)
+
+
+def visible_segments(segments: list[tuple[int, int, int]],
+                     max_frames: float) -> list[tuple[int, int, int]]:
+    """The part of `segments` inside the first `max_frames` frames, which is
+    all of a video that preprocessing keeps: a segment that starts later is
+    dropped, and one that ends later ends at `max_frames`."""
+    return [(s, min(e, max_frames), c) for s, e, c in segments if s <= max_frames]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +333,9 @@ def synthesize(params: SynthParams) -> list[SkeletonSequence]:
             for joint in swing_joints:
                 coords[:, joint] += _sinusoids(rng, t, 1, SWING_AMP, SWING_FREQ)
 
+        if not np.isfinite(coords).all():
+            raise ConfigurationError(
+                f"fps {params.fps} and noise {params.noise} give non-finite frames")
         conf = rng.uniform(0.6, 1.0, size=(params.frames, coords.shape[1], 1))
         frames = np.concatenate([coords, conf], axis=2)
         sequences.append(SkeletonSequence(

@@ -6,7 +6,9 @@ prediction is a true positive when its best-IoU unmatched ground-truth
 segment (same video) clears the IoU threshold. AP sums precision at the
 true-positive ranks divided by the number of ground-truth segments.
 Detection metrics are computed over videos that carry ground-truth
-annotations (>= 1 segment), matching how annotated subsets are scored.
+annotations (>= 1 segment), matching how annotated subsets are scored; a
+video's segments are cut to the frames the model saw, as preprocessing cuts
+the video.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import SkeletonSequence
+from .dataset import SkeletonSequence, visible_segments
 from .errors import ConfigurationError, DataFormatError
 from .model import ActionDetector
 from .oamb import DetectionInstance, extract_instances, prefix_video_prob
@@ -145,7 +147,8 @@ class VideoResult:
     timeline: np.ndarray                       # (L, n_c+1) causal probabilities
     video_prob: float
     instances: list[DetectionInstance]
-    gt_segments: list[tuple[int, int, int]] | None
+    gt_segments: list[tuple[int, int, int]] | None   # as the dataset holds them
+    max_frames: float = math.inf   # the frames the model saw; inf cuts no segment
 
 
 @dataclass
@@ -181,7 +184,8 @@ def score_videos(model: ActionDetector, dataset: list[SkeletonSequence],
         instances = extract_instances(timeline, instance_threshold, model.windowing)
         results.append(VideoResult(video_id=seq.video_id, label=int(seq.labels[0]),
                                    timeline=timeline, video_prob=prob,
-                                   instances=instances, gt_segments=seq.gt_segments))
+                                   instances=instances, gt_segments=seq.gt_segments,
+                                   max_frames=model.config.max_frames))
     return results
 
 
@@ -216,7 +220,7 @@ def build_report(results: list[VideoResult], fractions, kappa: int) -> EvalRepor
     for r in results:
         if not r.gt_segments:
             continue   # detection is scored on annotated videos only
-        for s, e, c in r.gt_segments:
+        for s, e, c in visible_segments(r.gt_segments, r.max_frames):
             gt.append(ScoredSegment(video_id=r.video_id, start=s, end=e, label=c))
         for inst in r.instances:
             predictions.append(ScoredSegment(video_id=r.video_id, start=inst.start_frame,

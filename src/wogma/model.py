@@ -21,12 +21,9 @@ class ActionDetector:
     With `initialise=False` the weights are left uninitialised; only the
     checkpoint loader builds that way, as it overwrites every one of them.
 
-    The parameters hold values only. The Adam moments and step count are
-    the optimiser's: `optimizer` is None until `trainer.train` builds a
-    ParameterArena, or `load_checkpoint(path, optimizer=True)` reads one.
-    A checkpoint of a model without one, or whose optimiser has not
-    stepped, stores the weights and step 0 and no moments. Every frame
-    carries `dataset.CHANNELS` values per joint.
+    The parameters hold values only; the Adam state lives in the arena that
+    `trainer.train` builds for one call. Every frame carries
+    `dataset.CHANNELS` values per joint.
     """
 
     def __init__(self, config: TrainConfig, skeleton: SkeletonGraph | None = None, *,
@@ -52,7 +49,6 @@ class ActionDetector:
         for bundle in (self.extractor.params, self.pseudo_branch.params,
                        self.online_branch.params):
             self.params.update(bundle)
-        self.optimizer = None   # trainer.ParameterArena, once training has state
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())

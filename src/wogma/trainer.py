@@ -8,20 +8,18 @@ follower thread that the LSTM backward starts at large sizes
 (autodiff.lstm_timeline) keeps it so: it adds every gradient term in the
 order the calling thread alone would.
 
-The optimiser owns its state. The first `train` call on a model moves
-every parameter's values into a ParameterArena of four flat buffers (values,
-gradient, Adam m and v) with one step count, and keeps it as
-`model.optimizer`; later calls reuse it. Backward passes accumulate into its
-gradient buffer, zero_grads clears it in place, and adam_step updates the
-whole model in one pass over cache-sized blocks, bitwise the same as the
-per-parameter formula. Parameters hold only their values.
+Each `train` call moves every parameter's values into a fresh
+ParameterArena of four flat buffers (values, gradient, Adam m and v) with
+one step count, which lives for that call only: Adam starts at step 1 on
+every call. Backward passes accumulate into its gradient buffer, zero_grads
+clears it in place, and adam_step updates the whole model in one pass over
+cache-sized blocks, bitwise the same as the per-parameter formula.
+Parameters hold only their values.
 
-A checkpoint stores the weights one record per parameter name, then the
-optimiser as the arena holds it: one Adam step count and, once it has
-stepped, the m and v payloads. load_checkpoint reads the file once, each
-payload straight into the array the rebuilt model keeps. By default it
-reads the weights only, which is all inference needs; `optimizer=True`
-also reads the step and moments into a fresh arena, for resuming training.
+A checkpoint holds the trained weights only: the config, the epoch and one
+record per parameter name. No command resumes training, so the Adam state
+is not stored. load_checkpoint reads the file once, each payload straight
+into the array the rebuilt model keeps.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from .model import ActionDetector
 from .oamb import frame_loss, mil_loss_online
 
 CHECKPOINT_MAGIC = b"WOGM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -210,9 +208,8 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
           progress=None) -> tuple[ActionDetector, list[EpochMetrics]]:
     """Train on a dataset of labelled sequences; returns model + epoch log.
 
-    Adam continues from `model.optimizer` when the model has one (an earlier
-    `train` call, or `load_checkpoint(path, optimizer=True)`); otherwise a
-    fresh arena starts at step 1, which fine-tunes a weights-only load.
+    Adam starts afresh at step 1, also on a `model` that was trained or
+    loaded before; its moments are dropped when the call returns.
     """
     if not dataset:
         raise DataFormatError("training dataset is empty")
@@ -225,9 +222,7 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
     videos = [(model.prepare_clips(seq), np.asarray(seq.labels), seq.video_id)
               for seq in dataset]
     shuffle_rng = np.random.default_rng(config.seed ^ 0x5EED)
-    if model.optimizer is None:
-        model.optimizer = ParameterArena(model.parameters())
-    arena = model.optimizer
+    arena = ParameterArena(model.parameters())
     params = arena.params
     metrics: list[EpochMetrics] = []
 
@@ -277,17 +272,13 @@ def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format, version 2: little-endian binary.
+# Checkpoint format, version 3: little-endian binary.
 #   magic "WOGM" | version u32 | config JSON (u32 length + UTF-8) | epoch u32 |
 #   per parameter in model.params order: name length u32, UTF-8 name,
-#     rank u32, dims u32[rank], float64 values |
-#   Adam step u64 |
-#   if the step is above 0: every parameter's Adam m payload, then every
-#     parameter's v payload, in the same order and with no headers.
-# A step of 0 stores no moments: an optimiser that has never stepped holds
-# zeros. Payloads are written from the arrays' own buffers (the moments from
-# the optimiser's views) and read back into the arrays of a freshly built
-# model.
+#     rank u32, dims u32[rank], float64 values
+# and nothing after the last record. Payloads are written from the arrays'
+# own buffers and read back into the arrays of a freshly built model.
+# Versions 1 and 2 also stored Adam state and are not read.
 # ---------------------------------------------------------------------------
 
 def _write_payload(handle, array: np.ndarray) -> None:
@@ -332,9 +323,6 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def text(self, what: str) -> str:
         try:
             return self.take(self.u32()).decode("utf-8")
@@ -365,15 +353,9 @@ class _Reader:
 def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
     """Write to a temporary file beside `path`, sync it to disk, then rename
     it into place, so after a process crash or a power loss `path` holds
-    either its old contents or the whole new checkpoint.
-
-    The Adam step and moments come from `model.optimizer`; a model without
-    one, or whose optimiser has not stepped, is saved at step 0 with no
-    moments."""
+    either its old contents or the whole new checkpoint."""
     config_blob = json.dumps(asdict(model.config),
                              sort_keys=True).encode("utf-8")
-    arena = model.optimizer
-    step = 0 if arena is None else arena.step_count
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -385,11 +367,6 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
             handle.write(struct.pack("<I", epoch))
             for name, param in model.params.items():
                 _write_record(handle, name, param.values)
-            handle.write(struct.pack("<Q", step))
-            if step:
-                for flat in (arena.adam_m, arena.adam_v):
-                    for moment in arena.views(flat):
-                        _write_payload(handle, moment)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -397,27 +374,22 @@ def save_checkpoint(path, model: ActionDetector, epoch: int) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path, *, optimizer: bool = False) -> tuple[ActionDetector, int]:
+def load_checkpoint(path) -> tuple[ActionDetector, int]:
     """Rebuild the model a checkpoint was saved from; returns (model, epoch).
 
     The file is read once, front to back: the header builds the model
     without its random initialisation, and each weight record's payload is
-    read straight into the array the model keeps. By default the Adam
-    moments are not read, and the model has no optimiser: inference needs
-    the weights only, and training such a model starts Adam afresh. With
-    `optimizer=True` the step count and the moments (zeros at step 0) are
-    read into a fresh ParameterArena, `model.optimizer`, so training resumes
-    where it stopped. Either way a missing, unreadable or malformed file
-    raises DataFormatError and leaves no model behind.
+    read straight into the array the model keeps. A missing, unreadable or
+    malformed file raises DataFormatError and leaves no model behind.
     """
     try:
         with open(path, "rb") as handle:
-            return _read_checkpoint(_Reader(handle, path), optimizer)
+            return _read_checkpoint(_Reader(handle, path))
     except OSError as exc:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _read_checkpoint(reader: _Reader, optimizer: bool) -> tuple[ActionDetector, int]:
+def _read_checkpoint(reader: _Reader) -> tuple[ActionDetector, int]:
     path = reader.path
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint file (bad magic)")
@@ -435,24 +407,9 @@ def _read_checkpoint(reader: _Reader, optimizer: bool) -> tuple[ActionDetector, 
     epoch = reader.u32()
     # every weight is overwritten below: each parameter must have its record
     model = ActionDetector(train_config_from_dict(config), initialise=False)
-    # the arena takes over the value arrays before they are read, so an
-    # optimiser load never holds them beside it
-    arena = ParameterArena(model.parameters()) if optimizer else None
     for name, param in model.params.items():
         reader.record(name, param.values)
-    step = reader.u64()
-    moment_bytes = 2 * sum(p.values.nbytes for p in model.params.values()) if step else 0
     left = reader.size - reader.offset
-    if left < moment_bytes:
-        raise DataFormatError(f"{path}: truncated checkpoint")
-    if left > moment_bytes:
-        raise DataFormatError(
-            f"{path}: {left - moment_bytes} unexpected bytes after the last record")
-    if arena is not None:
-        arena.step_count = step
-        if step:
-            for flat in (arena.adam_m, arena.adam_v):
-                for moment in arena.views(flat):
-                    reader.payload(moment)
-        model.optimizer = arena
+    if left:
+        raise DataFormatError(f"{path}: {left} unexpected bytes after the last record")
     return model, epoch

@@ -39,18 +39,14 @@ def small_training_config():
 
 def checkpoint_field_ranges(blob: bytes, model: ActionDetector) -> list[tuple[int, int]]:
     """(start, stop) of every field of `model`'s saved checkpoint `blob` but
-    the float payloads: the header, each values record's name and dims, and
-    the Adam step."""
+    the float payloads: the header and each values record's name and dims."""
     offset = 12 + int.from_bytes(blob[8:12], "little") + 4
     ranges = [(0, offset)]
     for name, param in model.params.items():
         header = 8 + len(name.encode("utf-8")) + 4 * param.values.ndim
         ranges.append((offset, offset + header))
         offset += header + param.values.nbytes
-    ranges.append((offset, offset + 8))
-    if int.from_bytes(blob[offset:offset + 8], "little"):
-        offset += 2 * sum(p.values.nbytes for p in model.parameters())
-    assert offset + 8 == len(blob)
+    assert offset == len(blob)
     return ranges
 
 

@@ -133,13 +133,15 @@ def test_every_setting_flag_names_a_field(command, skipped):
     ("--noise", "-1", "noise must be >= 0, got -1.0"),
     ("--noise", "nan", "config key 'noise' must be a finite number, got nan"),
     ("--segment-len-min", "0", "segment_len_min must be >= 1, got 0"),
+    ("--fps", "5e-324", "fps 5e-324 and noise 1.0 give non-finite frames"),
+    ("--noise", "1e308", "fps 20.0 and noise 1e+308 give non-finite frames"),
 ], ids=["fps-0", "fps-negative", "fps-nan", "fps-inf", "noise-negative", "noise-nan",
-        "segment-len-min-0"])
+        "segment-len-min-0", "fps-tiny", "noise-huge"])
 def test_gen_data_setting_the_loader_would_reject_exits_one(tmp_path, capsys, flag, value,
                                                             message):
     out = tmp_path / "d.jsonl"
     assert run_cli(["gen-data", "--out", out, "--videos", 2, "--frames", 60,
-                    "--segment-len-max", 30, flag, value]) == 1
+                    "--segment-len-min", 20, "--segment-len-max", 30, flag, value]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -181,6 +183,21 @@ def test_detect_malformed_checkpoint_exits_two(tmp_path, monkeypatch, capsys, ki
     assert run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
                     "--out-dir", tmp_path / "out"]) == 2
     assert f"data error: {checkpoint}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["eval", "--data", "d.jsonl"], ["detect", "--stdin"]],
+                         ids=["eval", "detect"])
+def test_version_2_checkpoint_exits_two(tmp_path, monkeypatch, capsys, command):
+    # version 2 is version 3 with the Adam step (0 here) after the last record
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    blob = checkpoint.read_bytes()
+    checkpoint.write_bytes(blob[:4] + (2).to_bytes(4, "little") + blob[8:] + bytes(8))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run_cli([command[0], "--checkpoint", checkpoint, *command[1:],
+                    "--out-dir", tmp_path / "out"]) == 2
+    assert (f"data error: {checkpoint}: unsupported checkpoint version 2, expected 3"
+            in capsys.readouterr().err)
 
 
 def test_eval_non_utf8_dataset_exits_two(tmp_path, capsys):

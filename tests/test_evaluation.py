@@ -285,3 +285,31 @@ def test_evaluate_rejects_segment_class_above_n_c():
     with pytest.raises(DataFormatError, match=f"^{data[1].video_id}: segment \\(50, 90\\) "
                                               "has class 7, above the model's n_c = 1$"):
         ev.evaluate(model, data, [1.0], 0.5)
+
+
+@pytest.mark.parametrize("late_video, map_at_01", [(False, 1.0), (True, 0.5)],
+                         ids=["one-video", "with-a-video-annotated-past-max-frames"])
+def test_evaluate_scores_the_ground_truth_the_model_sees(monkeypatch, late_video, map_at_01):
+    # a 200-frame video at max_frames 120: the segment at 150-180 lies in
+    # frames preprocessing drops, so no model can hit it and it is no miss;
+    # a video whose every segment lies there still counts as annotated, so
+    # its instance is a false positive
+    from wogma.config import TrainConfig
+    from wogma.dataset import SynthParams, synthesize
+    from wogma.model import ActionDetector
+    model = ActionDetector(TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
+                                       feature_dim=8, gcn_channels=4, scales=2, n_c=1))
+    data = synthesize(SynthParams(n_videos=2, frames=200, seed=2, positive_fraction=1.0,
+                                  segment_len_min=40, segment_len_max=60))
+    data[0].gt_segments = [(30, 60, 1), (150, 180, 1)]
+    data[1].gt_segments = [(150, 180, 1)]
+    data = data if late_video else data[:1]
+    # every clip above the threshold: one instance at frames 1-120 per video,
+    # the later video's scored higher
+    probs = iter([0.9, 0.95])
+    monkeypatch.setattr(model, "infer_timeline",
+                        lambda clips: np.tile([0.0, next(probs)], (clips.shape[0], 1)))
+    report, results = ev.evaluate(model, data, [1.0], 0.5)
+    assert [[(i.start_frame, i.end_frame) for i in r.instances] for r in results] == (
+        [[(1, 120)]] * len(data))
+    assert report.map_at[0.1] == map_at_01
