@@ -270,13 +270,15 @@ def temporal_conv1d(x, w, b) -> DTensor:
 
 
 def _sigmoid_vals(v: np.ndarray) -> np.ndarray:
-    # Branching on the sign keeps exp() in the underflow-safe half plane.
+    # exp(-|v|) stays in the underflow-safe half plane; each element then
+    # takes 1/(1+e) or e/(1+e) by its sign, the same operations as a masked
+    # two-branch form (tests/tape_oracle.py) without gathering the halves.
+    # The result is allocated before the temporaries, so the gates that
+    # lstm_timeline keeps per step do not sit above freed blocks: allocated
+    # last, they raised the paper point's peak RSS by 2-3 MB.
     out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    return np.divide(np.where(v >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _softmax_vals(v: np.ndarray) -> np.ndarray:
@@ -465,8 +467,8 @@ def lstm_step_values(f, h_prev, c_prev, w_ih, w_hh, b, w_a, b_a) -> tuple[np.nda
     """
     hidden = h_prev.shape[0]
     z = (f @ w_ih + b) + h_prev @ w_hh
-    gate_i = _sigmoid_vals(z[0:hidden])
-    gate_f = _sigmoid_vals(z[hidden:2 * hidden])
+    gates_if = _sigmoid_vals(z[0:2 * hidden])
+    gate_i, gate_f = gates_if[0:hidden], gates_if[hidden:2 * hidden]
     cand = np.tanh(z[2 * hidden:3 * hidden])
     gate_o = _sigmoid_vals(z[3 * hidden:4 * hidden])
     c = gate_f * c_prev + gate_i * cand
@@ -494,6 +496,21 @@ FOLLOW_CHUNK_STEPS = 16
 # faster and one 0.5% slower; the paper point (1275 Mi) 1.40-1.59 s ->
 # 0.86-1.09 s.
 FOLLOW_MIN_TERMS = 2**27
+# Weight-gradient row width (elements) below which _OuterTerms runs its term
+# products under a ufunc buffer of NARROW_TERM_BUFSIZE elements. Under
+# numpy's default 8192-element buffer, the broadcast multiply of a row block
+# by a column runs 1.0-1.6 ns per element on rows of up to 2728 elements and
+# 0.26-0.41 ns from 2732 on, whatever the row count (numpy 2.4, one core,
+# AVX-512); under the small buffer it runs 0.3-0.5 ns from width 128 on.
+# Per term with its add, the acceptance point's 64 x 512 block took 47 us
+# under the default buffer and 18 us under the small one (an einsum, 29 us);
+# the paper point's 8 x 4096 block 26 and 27 us. Wide rows keep the default
+# buffer, which saves setting the buffer size twice per block. The
+# product is the same multiply of the same pairs either way, so every term
+# has the same bits, the sign of a zero included.
+NARROW_TERM_WIDTH = 2731
+# The smallest ufunc buffer numpy accepts.
+NARROW_TERM_BUFSIZE = 16
 
 
 class _OuterTerms:
@@ -546,13 +563,24 @@ class _OuterTerms:
 
     def _bring_down(self, block, stop: int, term: np.ndarray) -> None:
         """Add the block's terms below its lowest added step, down to `stop`."""
-        grad, column, _, lock = block
+        grad, _, _, lock = block
         with lock:
-            part = term[:grad.shape[0]]
-            for i in range(block[2] - 1, stop - 1, -1):
-                np.multiply(column[i], self.right[i], out=part)
-                grad += part
+            if grad.shape[1] < NARROW_TERM_WIDTH:
+                default = np.setbufsize(NARROW_TERM_BUFSIZE)
+                try:
+                    self._add_terms(block, stop, term)
+                finally:
+                    np.setbufsize(default)
+            else:
+                self._add_terms(block, stop, term)
             block[2] = min(block[2], stop)
+
+    def _add_terms(self, block, stop: int, term: np.ndarray) -> None:
+        grad, column, start, _ = block
+        part = term[:grad.shape[0]]
+        for i in range(start - 1, stop - 1, -1):
+            np.multiply(column[i], self.right[i], out=part)
+            grad += part
 
     def _follow(self) -> None:
         swept = self.count   # every block holds the steps from here on

@@ -55,6 +55,8 @@ def positive_int(text: str) -> int:
 def fraction_list(text: str) -> list[float]:
     """A --fractions value: comma-separated observed fractions in (0, 1]."""
     values = [float(v) for v in text.split(",") if v]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no fractions in {text!r}")
     for value in values:
         if not 0.0 < value <= 1.0:
             raise argparse.ArgumentTypeError(f"fraction {value} outside (0, 1]")

@@ -303,6 +303,9 @@ def _sinusoids(rng: np.random.Generator, t: np.ndarray, waves: int,
     return total
 
 
+# An fps or noise that overflows gives non-finite frames, which the check in
+# the loop names; numpy's own warnings about the overflow would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def synthesize(params: SynthParams) -> list[SkeletonSequence]:
     """Deterministic synthetic dataset with video labels and gt segments."""
     rng = np.random.default_rng(params.seed)

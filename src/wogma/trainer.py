@@ -209,7 +209,8 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
     """Train on a dataset of labelled sequences; returns model + epoch log.
 
     Adam starts afresh at step 1, also on a `model` that was trained or
-    loaded before; its moments are dropped when the call returns.
+    loaded before; its moments and the gradient buffer are dropped when the
+    call returns.
     """
     if not dataset:
         raise DataFormatError("training dataset is empty")
@@ -260,6 +261,8 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
         metrics.append(row)
         if progress is not None:
             progress(row)
+    for p in params:   # inference reads no gradient: unbind the arena's views
+        p.tensor.grad = None
     return model, metrics
 
 

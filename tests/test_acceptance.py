@@ -313,9 +313,9 @@ def synthetic_data():
 @pytest.fixture(scope="session")
 def trained_full(synthetic_data):
     train_set, test_set = synthetic_data
-    start = time.time()
+    start = time.perf_counter()
     model, metrics = train(train_set, ACCEPT_CONFIG)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report, results = evaluate(model, test_set, [0.1, 0.2, 0.4, 0.6, 0.8, 1.0], 0.5)
     return model, metrics, report, results, elapsed
 
@@ -328,7 +328,7 @@ def test_criterion_6_synthetic_learning(trained_full):
     report_line(6, ok, f"synthetic learning: AUC={report.auc:.3f} (>=0.95), "
                        f"accuracy={report.accuracy:.3f} (>=0.90), "
                        f"mAP@0.1={report.map_at[0.1]:.3f} (>=0.5), "
-                       f"train time {elapsed / 60:.1f} min (<=15)")
+                       f"train time {elapsed:.1f} s (<={15 * 60})")
     assert report.auc >= 0.95
     assert report.accuracy >= 0.90
     assert report.map_at[0.1] >= 0.5

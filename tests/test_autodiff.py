@@ -4,6 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wogma import autodiff as ad
 from wogma.autodiff import DTensor, Tape
@@ -12,7 +15,7 @@ from wogma.oamb import OnlineBranch
 import grad_oracle
 from grad_oracle import grad_check
 from lstm_oracle import per_step_timeline
-from tape_oracle import lstm_cell, softmax, tanh
+from tape_oracle import lstm_cell, masked_sigmoid_vals, softmax, tanh
 from tiled_oracle import collapse_window
 
 
@@ -56,6 +59,31 @@ def test_sigmoid_extreme_inputs_stay_finite():
     out = ad.sigmoid(DTensor([-1000.0, 1000.0])).values
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+
+
+# finite values of either sign, ±0.0 and subnormals included, in arrays whose
+# lengths are mostly not a multiple of the SIMD width
+SIGMOID_INPUTS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=67),
+    elements=st.floats(-1e308, 1e308, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGMOID_INPUTS)
+@example(np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308, 745.2,
+                   -745.2, 36.7, -36.7]))
+def test_sigmoid_vals_equal_masked_two_branch_form_bitwise(v):
+    # float64, and longdouble values between float64 ones, as the gradient
+    # oracle's extended-precision passes give
+    for values in (v, v.astype(np.longdouble) * (1 + np.longdouble(2) ** -62)):
+        got, want = ad._sigmoid_vals(values), masked_sigmoid_vals(values)
+        assert got.dtype == want.dtype == values.dtype and got.shape == want.shape
+        # equal values of equal sign are equal bits; a longdouble's padding
+        # bytes hold no part of its value
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if values.dtype == np.float64:
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh", "softmax"])
@@ -288,6 +316,35 @@ def test_followed_backward_equals_per_step_tape_bitwise(followed, count, frozen)
     assert threading.active_count() == threads
     # one follower per backward pass, none with no weight gradient to add
     assert len(followed) == (0 if frozen == (1, 2) else 2)
+    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
+    assert_same_bits(fused, steps)
+
+
+@pytest.mark.parametrize("frozen", FROZEN.values(), ids=FROZEN)
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+@pytest.mark.parametrize("follow", [False, True], ids=["caller-only", "followed"])
+@pytest.mark.parametrize("narrow", [True, False], ids=["narrow-rows", "wide-rows"])
+def test_both_term_products_equal_per_step_tape_bitwise(narrow, follow, count, frozen,
+                                                        monkeypatch, request):
+    # every row is narrow or wide as the width constant stands on one side of
+    # the 24-element rows; the narrow side runs under the small ufunc buffer
+    monkeypatch.setattr(ad, "NARROW_TERM_WIDTH", 2**62 if narrow else 0)
+    if follow:
+        followed = request.getfixturevalue("followed")
+    else:
+        monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 2**62)
+    sizes = []
+    setbufsize = np.setbufsize
+    monkeypatch.setattr(np, "setbufsize", lambda size: (sizes.append(size), setbufsize(size))[1])
+    arrays, second_x, probes = two_video_inputs(46, count)
+    default = np.getbufsize()
+    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
+    monkeypatch.setattr(np, "setbufsize", setbufsize)
+    weight_grads = frozen != (1, 2)
+    assert (ad.NARROW_TERM_BUFSIZE in sizes) == (narrow and weight_grads)
+    assert np.getbufsize() == default
+    if follow:
+        assert len(followed) == (2 if weight_grads else 0)
     steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
     assert_same_bits(fused, steps)
 

@@ -252,6 +252,12 @@ def test_acceptance_point_backward_starts_no_thread(monkeypatch):
     assert clips * (paper.hidden + paper.feature_dim) * 4 * paper.hidden > ad.FOLLOW_MIN_TERMS
 
 
+def test_acceptance_rows_take_the_narrow_term_product():
+    # the acceptance point's 4H-wide gradient rows run under the small ufunc
+    # buffer, the paper point's keep the default one
+    assert 4 * 128 < ad.NARROW_TERM_WIDTH <= 4 * TrainConfig().hidden
+
+
 def test_metrics_csv_reads_back_as_floats(tmp_path, small_training_config):
     config = dataclasses.replace(small_training_config, epochs=1)
     _, metrics = tr.train(small_dataset(n_videos=2), config)
@@ -274,6 +280,14 @@ def test_training_keeps_every_gradient_in_the_arena(small_training_config):
     tr.train(small_dataset(n_videos=2), config, model=model,
              progress=lambda row: bases.extend(p.tensor.grad.base for p in model.parameters()))
     assert bases[0] is not None and all(base is bases[0] for base in bases)
+
+
+def test_trained_model_holds_no_gradient(small_training_config):
+    # inference reads no gradient, so train unbinds the arena's gradient
+    # views and the buffer goes with the call
+    config = dataclasses.replace(small_training_config, epochs=1)
+    model, _ = tr.train(small_dataset(n_videos=2), config)
+    assert all(p.tensor.grad is None for p in model.parameters())
 
 
 def test_weights_only_load_trains_from_adam_step_one(tmp_path, small_training_config):
