@@ -496,21 +496,18 @@ FOLLOW_CHUNK_STEPS = 16
 # faster and one 0.5% slower; the paper point (1275 Mi) 1.40-1.59 s ->
 # 0.86-1.09 s.
 FOLLOW_MIN_TERMS = 2**27
-# Weight-gradient row width (elements) below which _OuterTerms runs its term
-# products under a ufunc buffer of NARROW_TERM_BUFSIZE elements. Under
-# numpy's default 8192-element buffer, the broadcast multiply of a row block
-# by a column runs 1.0-1.6 ns per element on rows of up to 2728 elements and
-# 0.26-0.41 ns from 2732 on, whatever the row count (numpy 2.4, one core,
-# AVX-512); under the small buffer it runs 0.3-0.5 ns from width 128 on.
-# Per term with its add, the acceptance point's 64 x 512 block took 47 us
-# under the default buffer and 18 us under the small one (an einsum, 29 us);
-# the paper point's 8 x 4096 block 26 and 27 us. Wide rows keep the default
-# buffer, which saves setting the buffer size twice per block. The
-# product is the same multiply of the same pairs either way, so every term
-# has the same bits, the sign of a zero included.
-NARROW_TERM_WIDTH = 2731
-# The smallest ufunc buffer numpy accepts.
-NARROW_TERM_BUFSIZE = 16
+# Elements in the ufunc buffer under which _OuterTerms runs its term
+# products, the smallest numpy accepts. Under numpy's default 8192-element
+# buffer, the broadcast multiply of a row block by a column ran 1.0-1.6 ns per
+# element on rows of up to 2728 elements and 0.26-0.41 ns from 2732 on,
+# whatever the row count (numpy 2.4, one core, AVX-512); under this buffer
+# it runs 0.3-0.5 ns from width 128 on. Per term with its add, the
+# acceptance point's 64 x 512 block took 47 us under the default buffer and
+# 18 us under this one (an einsum, 29 us); the paper point's 8 x 4096 block
+# 26 and 27 us, and train-paper came out flat in 10 alternating pairs. The
+# product is the same multiply of the same pairs under any buffer, so every
+# term has the same bits, the sign of a zero included.
+TERM_BUFSIZE = 16
 
 
 class _OuterTerms:
@@ -563,24 +560,17 @@ class _OuterTerms:
 
     def _bring_down(self, block, stop: int, term: np.ndarray) -> None:
         """Add the block's terms below its lowest added step, down to `stop`."""
-        grad, _, _, lock = block
-        with lock:
-            if grad.shape[1] < NARROW_TERM_WIDTH:
-                default = np.setbufsize(NARROW_TERM_BUFSIZE)
-                try:
-                    self._add_terms(block, stop, term)
-                finally:
-                    np.setbufsize(default)
-            else:
-                self._add_terms(block, stop, term)
-            block[2] = min(block[2], stop)
-
-    def _add_terms(self, block, stop: int, term: np.ndarray) -> None:
-        grad, column, start, _ = block
+        grad, column, _, lock = block
         part = term[:grad.shape[0]]
-        for i in range(start - 1, stop - 1, -1):
-            np.multiply(column[i], self.right[i], out=part)
-            grad += part
+        with lock:
+            default = np.setbufsize(TERM_BUFSIZE)
+            try:
+                for i in range(block[2] - 1, stop - 1, -1):
+                    np.multiply(column[i], self.right[i], out=part)
+                    grad += part
+            finally:
+                np.setbufsize(default)
+            block[2] = min(block[2], stop)
 
     def _follow(self) -> None:
         swept = self.count   # every block holds the steps from here on

@@ -210,7 +210,7 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
 
     Adam starts afresh at step 1, also on a `model` that was trained or
     loaded before; its moments and the gradient buffer are dropped when the
-    call returns.
+    call returns or raises.
     """
     if not dataset:
         raise DataFormatError("training dataset is empty")
@@ -227,42 +227,46 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
     params = arena.params
     metrics: list[EpochMetrics] = []
 
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(videos))
-        sums = np.zeros(3)
-        correct = 0
-        pending = 0
-        zero_grads(params)
-        for vid in order:
-            clips, labels, video_id = videos[vid]
-            with Tape() as tape:
-                loss, parts = joint_loss(model, clips, labels)
-            if not np.isfinite(parts.total):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, video {video_id}: "
-                    f"mil_p={parts.mil_pseudo}, fml={parts.frame}, mil_o={parts.mil_online}")
-            tape.backward(loss)
-            pending += 1
-            if pending == config.batch_size:
+    try:
+        for epoch in range(1, config.epochs + 1):
+            order = shuffle_rng.permutation(len(videos))
+            sums = np.zeros(3)
+            correct = 0
+            pending = 0
+            zero_grads(params)
+            for vid in order:
+                clips, labels, video_id = videos[vid]
+                with Tape() as tape:
+                    loss, parts = joint_loss(model, clips, labels)
+                if not np.isfinite(parts.total):
+                    raise NumericalError(
+                        f"non-finite loss at epoch {epoch}, video {video_id}: "
+                        f"mil_p={parts.mil_pseudo}, fml={parts.frame}, mil_o={parts.mil_online}")
+                tape.backward(loss)
+                pending += 1
+                if pending == config.batch_size:
+                    adam_step(arena, config, grad_scale=1.0 / pending)
+                    zero_grads(params)
+                    pending = 0
+                sums += (parts.mil_pseudo, parts.frame, parts.mil_online)
+                predicted = (parts.video_prob > 0.5).astype(int)
+                correct += int(np.array_equal(predicted, labels))
+            if pending:
                 adam_step(arena, config, grad_scale=1.0 / pending)
                 zero_grads(params)
-                pending = 0
-            sums += (parts.mil_pseudo, parts.frame, parts.mil_online)
-            predicted = (parts.video_prob > 0.5).astype(int)
-            correct += int(np.array_equal(predicted, labels))
-        if pending:
-            adam_step(arena, config, grad_scale=1.0 / pending)
-            zero_grads(params)
-        row = EpochMetrics(epoch=epoch,
-                           l_mil_p=sums[0] / len(videos),
-                           l_fml=sums[1] / len(videos),
-                           l_mil_o=sums[2] / len(videos),
-                           train_acc=correct / len(videos))
-        metrics.append(row)
-        if progress is not None:
-            progress(row)
-    for p in params:   # inference reads no gradient: unbind the arena's views
-        p.tensor.grad = None
+            row = EpochMetrics(epoch=epoch,
+                               l_mil_p=sums[0] / len(videos),
+                               l_fml=sums[1] / len(videos),
+                               l_mil_o=sums[2] / len(videos),
+                               train_acc=correct / len(videos))
+            metrics.append(row)
+            if progress is not None:
+                progress(row)
+    finally:
+        # inference reads no gradient: unbind the arena's views, also when a
+        # NumericalError or the progress callback stops training
+        for p in params:
+            p.tensor.grad = None
     return model, metrics
 
 

@@ -261,7 +261,9 @@ def test_lstm_timeline_equals_per_step_tape_bitwise(x_requires_grad, count, bloc
         monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", block_rows * 4 * 6 * 8)
     arrays, second_x, probes = two_video_inputs(31, count)
     frozen = () if x_requires_grad else (0,)
+    bufsize = np.getbufsize()
     fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
+    assert np.getbufsize() == bufsize   # the term products' buffer is restored
     steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
     assert_same_bits(fused, steps)
     assert (fused[1] is None) == (not x_requires_grad)
@@ -311,40 +313,11 @@ FROZEN = {"all-grads": (), "x-frozen": (0,), "w_ih-frozen": (1,), "w_hh-frozen":
 @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
 def test_followed_backward_equals_per_step_tape_bitwise(followed, count, frozen):
     arrays, second_x, probes = two_video_inputs(41, count)
-    threads = threading.active_count()
+    threads, bufsize = threading.active_count(), np.getbufsize()
     fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
-    assert threading.active_count() == threads
+    assert threading.active_count() == threads and np.getbufsize() == bufsize
     # one follower per backward pass, none with no weight gradient to add
     assert len(followed) == (0 if frozen == (1, 2) else 2)
-    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
-    assert_same_bits(fused, steps)
-
-
-@pytest.mark.parametrize("frozen", FROZEN.values(), ids=FROZEN)
-@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
-@pytest.mark.parametrize("follow", [False, True], ids=["caller-only", "followed"])
-@pytest.mark.parametrize("narrow", [True, False], ids=["narrow-rows", "wide-rows"])
-def test_both_term_products_equal_per_step_tape_bitwise(narrow, follow, count, frozen,
-                                                        monkeypatch, request):
-    # every row is narrow or wide as the width constant stands on one side of
-    # the 24-element rows; the narrow side runs under the small ufunc buffer
-    monkeypatch.setattr(ad, "NARROW_TERM_WIDTH", 2**62 if narrow else 0)
-    if follow:
-        followed = request.getfixturevalue("followed")
-    else:
-        monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 2**62)
-    sizes = []
-    setbufsize = np.setbufsize
-    monkeypatch.setattr(np, "setbufsize", lambda size: (sizes.append(size), setbufsize(size))[1])
-    arrays, second_x, probes = two_video_inputs(46, count)
-    default = np.getbufsize()
-    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
-    monkeypatch.setattr(np, "setbufsize", setbufsize)
-    weight_grads = frozen != (1, 2)
-    assert (ad.NARROW_TERM_BUFSIZE in sizes) == (narrow and weight_grads)
-    assert np.getbufsize() == default
-    if follow:
-        assert len(followed) == (2 if weight_grads else 0)
     steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
     assert_same_bits(fused, steps)
 

@@ -252,12 +252,6 @@ def test_acceptance_point_backward_starts_no_thread(monkeypatch):
     assert clips * (paper.hidden + paper.feature_dim) * 4 * paper.hidden > ad.FOLLOW_MIN_TERMS
 
 
-def test_acceptance_rows_take_the_narrow_term_product():
-    # the acceptance point's 4H-wide gradient rows run under the small ufunc
-    # buffer, the paper point's keep the default one
-    assert 4 * 128 < ad.NARROW_TERM_WIDTH <= 4 * TrainConfig().hidden
-
-
 def test_metrics_csv_reads_back_as_floats(tmp_path, small_training_config):
     config = dataclasses.replace(small_training_config, epochs=1)
     _, metrics = tr.train(small_dataset(n_videos=2), config)
@@ -284,9 +278,21 @@ def test_training_keeps_every_gradient_in_the_arena(small_training_config):
 
 def test_trained_model_holds_no_gradient(small_training_config):
     # inference reads no gradient, so train unbinds the arena's gradient
-    # views and the buffer goes with the call
-    config = dataclasses.replace(small_training_config, epochs=1)
+    # views and the buffer goes with the call, also when training stops on
+    # an exception
+    config = dataclasses.replace(small_training_config, epochs=2)
     model, _ = tr.train(small_dataset(n_videos=2), config)
+    assert all(p.tensor.grad is None for p in model.parameters())
+
+    class Stop(Exception):
+        pass
+
+    def stop(row):
+        raise Stop
+
+    model = ActionDetector(config)
+    with pytest.raises(Stop):
+        tr.train(small_dataset(n_videos=2), config, model=model, progress=stop)
     assert all(p.tensor.grad is None for p in model.parameters())
 
 
