@@ -478,142 +478,34 @@ def lstm_step_values(f, h_prev, c_prev, w_ih, w_hh, b, w_a, b_a) -> tuple[np.nda
 
 
 # Bytes of a weight-gradient row block in lstm_timeline's backward pass: the
-# block and one term buffer of this size stay in cache across the steps that
-# one thread adds to it at a time.
+# block stays in cache while einsum adds every step's term to it.
 OUTER_BLOCK_BYTES = 256 * 1024
-# Steps the BPTT walk finishes between two releases of its dz rows to the
-# follower thread. At the paper point, 4, 16 and 64 gave the same backward
-# time within noise.
-FOLLOW_CHUNK_STEPS = 16
-# Outer-term element operations (L times the weight-gradient elements) above
-# which lstm_timeline's backward starts the follower thread. The follower
-# takes the GIL from the walk's Python loop between its numpy calls, and on a
-# shared 2-core host the second core is not always free. Measured per
-# training backward with one BLAS thread, follower against caller only, 3-4
-# runs per size: from 3 Mi terms (hidden 128, 30 clips: the acceptance
-# point) to 112 Mi, a run came out anywhere from 12% slower to 38% faster;
-# from 128 Mi (hidden 1024, 30 clips) on, 12 of 13 runs came out 13-39%
-# faster and one 0.5% slower; the paper point (1275 Mi) 1.40-1.59 s ->
-# 0.86-1.09 s.
-FOLLOW_MIN_TERMS = 2**27
-# Elements in the ufunc buffer under which _OuterTerms runs its term
-# products, the smallest numpy accepts. Under numpy's default 8192-element
-# buffer, the broadcast multiply of a row block by a column ran 1.0-1.6 ns per
-# element on rows of up to 2728 elements and 0.26-0.41 ns from 2732 on,
-# whatever the row count (numpy 2.4, one core, AVX-512); under this buffer
-# it runs 0.3-0.5 ns from width 128 on. Per term with its add, the
-# acceptance point's 64 x 512 block took 47 us under the default buffer and
-# 18 us under this one (an einsum, 29 us); the paper point's 8 x 4096 block
-# 26 and 27 us, and train-paper came out flat in 10 alternating pairs. The
-# product is the same multiply of the same pairs under any buffer, so every
-# term has the same bits, the sign of a zero included.
-TERM_BUFSIZE = 16
 
 
-class _OuterTerms:
-    """grad += outer(left[i], right[i]) for each (grad, left) pair and for
-    i = L-1 down to 0, term by term, over row blocks of about
-    OUTER_BLOCK_BYTES.
+def _add_outer_sums(worker_jobs, own_jobs) -> None:
+    """grad += einsum("ir,ic->rc", left, right) for each (grad, left, right)
+    job, the first list on a worker thread and the second on this one.
 
-    Each term is rounded before it is added, as a per-step tape's
-    `grad += outer` does. A block records the lowest step already added to
-    it and is guarded by its own lock, so whichever thread takes it adds the
-    next steps down, and every element sees the same additions in the same
-    order whatever threads took its block. A block stays in cache across the
-    steps one thread adds at a time, instead of the whole gradient streaming
-    through memory once per step.
-
-    The BPTT walk writes the rows of `right` newest first and releases them
-    with `release`. Above FOLLOW_MIN_TERMS a follower thread sweeps the
-    blocks in order, bringing each down to the step released so far, while
-    the walk runs on; `finish`, called once every row is written, has the
-    calling thread take blocks from the far end until the two meet. Below it
-    no thread starts and `finish` adds every block. numpy releases the GIL
-    inside the multiply and add loops, so the two threads run on two cores.
+    einsum releases the GIL, so the two lists run on two cores. Each job
+    adds into its own gradient rows, so the bits do not depend on the split.
+    The worker is joined before this returns, and the first error either
+    thread met is raised here.
     """
+    errors = []
 
-    def __init__(self, pairs, right: np.ndarray | None, count: int):
-        grads = [grad for grad, _ in pairs]
-        self.right = right
-        self.count = count
-        self.blocks = []   # [gradient rows, left columns (L, rows, 1), lowest step added, lock]
-        if grads:
-            width, dtype = grads[0].shape[1], np.result_type(*grads)
-            rows = max(1, OUTER_BLOCK_BYTES // max(1, width * dtype.itemsize))
-            self.term_shape = (min(rows, max(g.shape[0] for g in grads)), width, dtype)
-            self.blocks = [[grad[start:start + rows], left[:, start:start + rows, None],
-                            count, threading.Lock()]
-                           for grad, left in pairs for start in range(0, grad.shape[0], rows)]
-        self.released = count   # rows of `right` from this step on are final
-        self.stopped = False
-        self.error: BaseException | None = None
-        self.changed = threading.Condition()
-        self.worker = None
-        if grads and count * sum(grad.size for grad in grads) > FOLLOW_MIN_TERMS:
-            self.worker = threading.Thread(target=self._follow, name="lstm-outer-terms",
-                                           daemon=True)
-            self.worker.start()
-
-    def _term(self) -> np.ndarray:
-        rows, width, dtype = self.term_shape
-        return np.empty((rows, width), dtype=dtype)
-
-    def _bring_down(self, block, stop: int, term: np.ndarray) -> None:
-        """Add the block's terms below its lowest added step, down to `stop`."""
-        grad, column, _, lock = block
-        part = term[:grad.shape[0]]
-        with lock:
-            default = np.setbufsize(TERM_BUFSIZE)
-            try:
-                for i in range(block[2] - 1, stop - 1, -1):
-                    np.multiply(column[i], self.right[i], out=part)
-                    grad += part
-            finally:
-                np.setbufsize(default)
-            block[2] = min(block[2], stop)
-
-    def _follow(self) -> None:
-        swept = self.count   # every block holds the steps from here on
+    def add_sums(jobs) -> None:
         try:
-            term = self._term()
-            while swept:
-                with self.changed:
-                    self.changed.wait_for(lambda: self.released < swept or self.stopped)
-                    if self.stopped:
-                        return
-                    swept = self.released
-                for block in self.blocks:
-                    if self.stopped:
-                        return
-                    self._bring_down(block, swept, term)
-        except BaseException as exc:   # re-raised on the calling thread by close
-            self.error = exc
+            for grad, left, right in jobs:
+                grad += np.einsum("ir,ic->rc", left, right)
+        except BaseException as exc:
+            errors.append(exc)
 
-    def release(self, step: int) -> None:
-        """Rows `step` and later of `right` are final."""
-        if self.worker is not None:
-            with self.changed:
-                self.released = step
-                self.changed.notify()
-
-    def finish(self) -> None:
-        """Add every term left, once the walk has written every row."""
-        self.release(0)
-        if self.blocks:
-            term = self._term()
-            for block in reversed(self.blocks):
-                self._bring_down(block, 0, term)
-
-    def close(self) -> None:
-        """Stop and join the follower, and raise what it raised."""
-        if self.worker is None:
-            return
-        with self.changed:
-            self.stopped = True
-            self.changed.notify()
-        self.worker.join()
-        if self.error is not None:
-            raise self.error
+    worker = threading.Thread(target=add_sums, args=(worker_jobs,), name="lstm-outer-sums")
+    worker.start()
+    add_sums(own_jobs)
+    worker.join()
+    if errors:
+        raise errors[0]
 
 
 def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
@@ -622,23 +514,28 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     x: (L, C_f), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,), w_a: (H, K),
     b_a: (K,) -> (L, K), row i = softmax(h_i @ w_a + b_a). This is an LSTM
     cell, affine and softmax per step followed by a row stack, recorded as
-    one tape node, and values and gradients are bitwise the same as those
-    per-step nodes give (tests/lstm_oracle.py records them):
+    one tape node. Its values are bitwise the same as those per-step nodes
+    give, and so are its gradients where they start from zero
+    (tests/lstm_oracle.py records both forms):
     - the forward pass runs lstm_step_values per row, the kernel, head
       included, that OnlineBranch.online_step runs too;
     - the backward pass walks the steps newest first with the per-step
       nodes' operations in their order, keeping each step's gate gradient
       dz as a row of an (L, 4H) array;
-    - the w_hh and w_ih terms, outer(h_{i-1}, dz_i) and outer(x_i, dz_i),
-      are added newest step first in cache-sized row blocks (_OuterTerms).
-      Step i's terms need only row i of dz, which the walk writes in the
-      order the terms are added, so above FOLLOW_MIN_TERMS a follower
-      thread adds them on the second core while the walk runs, and the
-      caller joins in from the far end of the blocks once the walk ends.
-      Whichever thread takes a block adds its terms from the step below the
-      lowest it already holds, so each element still sees the same rounded
-      terms in the same order, and the gradients' bits do not depend on
-      the threads' timing.
+    - the weight gradients are summed once the walk ends. Each step's dz and
+      softmax-gradient rows are kept newest first, in row 0 up, so
+      np.einsum("ir,ic->rc", left, rows) adds each weight's rounded terms
+      outer(h_{i-1}, dz_i), outer(x_i, dz_i) and outer(h_i, dlogits_i)
+      from zero, newest first, as the per-step nodes add them, and the sum
+      is added to the gradient once; b and b_a take np.add.reduce of the
+      rows. With numpy's default optimize=False, einsum adds the products
+      in the memory order of the summed axis, with no fused multiply-add
+      (tests/test_autodiff.py guards this), so every operand has positive
+      strides. The sums run in cache-sized row blocks, half of them on a
+      worker thread (_add_outer_sums).
+    A node thus adds its whole contribution to each weight once: into a
+    zero gradient it gives the per-step nodes' bits, and into a gradient
+    that holds g it gives g + (those bits).
     """
     x, w_ih, w_hh, b, w_a, b_a = (_as_tensor(t) for t in (x, w_ih, w_hh, b, w_a, b_a))
     hidden = w_hh.values.shape[0]
@@ -664,51 +561,51 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     recurrent = any(t.requires_grad for t in (x, w_ih, w_hh, b))
 
     def pull(g: np.ndarray) -> None:
-        dx = np.empty_like(x.values) if x.requires_grad else None
+        # row n of each buffer is step count-1-n: row 0 is the newest step
+        h_rows = np.stack([cell[6] for cell in reversed(cells)] + [zero])
+        dlogits_rows = np.empty((count, w_a.values.shape[1]))
         dz_rows = np.empty((count, 4 * hidden)) if recurrent else None
-        pairs = []
-        if w_hh.requires_grad:
-            h_prev = np.stack([zero] + [cell[6] for cell in cells[:-1]])
-            pairs.append((w_hh.ensure_grad(), h_prev))
-        if w_ih.requires_grad:
-            pairs.append((w_ih.ensure_grad(), x.values))
-        terms = _OuterTerms(pairs, dz_rows, count)
-        try:
-            dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
-            for i in reversed(range(count)):
-                gate_i, gate_f, cand, gate_o, c, tanh_c, h, y = cells[i]
-                dlogits = y * (g[i] - (g[i] * y).sum(axis=-1, keepdims=True))
-                if w_a.requires_grad:
-                    w_a.ensure_grad()[...] += h.reshape(1, -1).T @ dlogits.reshape(1, -1)
-                if b_a.requires_grad:
-                    b_a.ensure_grad()[...] += dlogits
-                if not recurrent:
-                    continue
-                dh = dlogits @ w_a.values.T
-                if dh_next is not None:
-                    dh = dh_next + dh
-                dc = dh * gate_o * (1.0 - tanh_c * tanh_c)
-                if dc_next is not None:
-                    dc = dc_next + dc
-                c_prev = cells[i - 1][4] if i else zero
-                dz = np.concatenate([
-                    dc * cand * gate_i * (1.0 - gate_i),
-                    dc * c_prev * gate_f * (1.0 - gate_f),
-                    dc * gate_i * (1.0 - cand * cand),
-                    dh * tanh_c * gate_o * (1.0 - gate_o)], out=dz_rows[i])
-                if (count - i) % FOLLOW_CHUNK_STEPS == 0:
-                    terms.release(i)
-                if b.requires_grad:
-                    b.ensure_grad()[...] += dz
-                if dx is not None:
-                    dx[i] = dz @ w_ih.values.T
-                dh_next = dz @ w_hh.values.T if i else None
-                dc_next = dc * gate_f
+        dx = np.empty_like(x.values) if x.requires_grad else None
+        dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
+        for n, i in enumerate(reversed(range(count))):
+            gate_i, gate_f, cand, gate_o, c, tanh_c, h, y = cells[i]
+            dlogits = np.multiply(y, g[i] - (g[i] * y).sum(axis=-1, keepdims=True),
+                                  out=dlogits_rows[n])
+            if not recurrent:
+                continue
+            dh = dlogits @ w_a.values.T
+            if dh_next is not None:
+                dh = dh_next + dh
+            dc = dh * gate_o * (1.0 - tanh_c * tanh_c)
+            if dc_next is not None:
+                dc = dc_next + dc
+            c_prev = cells[i - 1][4] if i else zero
+            dz = np.concatenate([
+                dc * cand * gate_i * (1.0 - gate_i),
+                dc * c_prev * gate_f * (1.0 - gate_f),
+                dc * gate_i * (1.0 - cand * cand),
+                dh * tanh_c * gate_o * (1.0 - gate_o)], out=dz_rows[n])
             if dx is not None:
-                x.ensure_grad()[...] += dx
-            terms.finish()
-        finally:
-            terms.close()
+                dx[i] = dz @ w_ih.values.T
+            dh_next = dz @ w_hh.values.T if i else None
+            dc_next = dc * gate_f
+        if dx is not None:
+            x.ensure_grad()[...] += dx
+        if b.requires_grad:
+            b.ensure_grad()[...] += np.add.reduce(dz_rows, axis=0)
+        if b_a.requires_grad:
+            b_a.ensure_grad()[...] += np.add.reduce(dlogits_rows, axis=0)
+        jobs = []
+        for weight, left, rows in ((w_hh, h_rows[1:], dz_rows),
+                                   (w_ih, x.values[::-1], dz_rows),
+                                   (w_a, h_rows[:-1], dlogits_rows)):
+            if weight.requires_grad:
+                grad, left = weight.ensure_grad(), np.ascontiguousarray(left)
+                block = max(1, OUTER_BLOCK_BYTES // (rows.shape[1] * grad.itemsize))
+                jobs += [(grad[start:start + block], left[:, start:start + block], rows)
+                         for start in range(0, grad.shape[0], block)]
+        if jobs:
+            _add_outer_sums(jobs[:len(jobs) // 2], jobs[len(jobs) // 2:])
 
     _record(out, pull)
     return out

@@ -182,6 +182,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_sequences(args.data)
+    if not dataset:
+        raise DataFormatError(f"{args.data}: test set is empty")
     report, results = evaluate(model, dataset, args.fractions, args.instance_threshold)
 
     out_dir = Path(args.out_dir)

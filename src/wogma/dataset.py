@@ -193,17 +193,21 @@ def preprocess(seq: SkeletonSequence, max_frames: int) -> SkeletonSequence:
         raise DataFormatError(f"{seq.video_id}: neck/hip joints never visible")
 
     coords = out[:, :, :2]
-    midhip = (coords[:, R_HIP] + coords[:, L_HIP]) / 2.0
-    trunk = np.linalg.norm(coords[:, NECK] - midhip, axis=1)
-    scale = float(np.median(trunk[anchors]))
-    if scale <= 0.0:
-        raise DataFormatError(f"{seq.video_id}: degenerate trunk length")
-
-    centred = coords - coords[:, NECK][:, None, :]
-    if abs(scale - 1.0) > 1e-12:
-        centred = centred / scale
+    # finite frames can overflow here; they are rejected below, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        midhip = (coords[:, R_HIP] + coords[:, L_HIP]) / 2.0
+        trunk = np.linalg.norm(coords[:, NECK] - midhip, axis=1)
+        scale = float(np.median(trunk[anchors]))
+        # a trunk length that overflows would scale every coordinate to zero
+        if not 0.0 < scale < math.inf:
+            raise DataFormatError(f"{seq.video_id}: degenerate trunk length {scale}")
+        centred = coords - coords[:, NECK][:, None, :]
+        if abs(scale - 1.0) > 1e-12:
+            centred = centred / scale
     centred[conf == 0.0] = 0.0
     centred[~valid] = 0.0
+    if not np.isfinite(centred).all():
+        raise DataFormatError(f"{seq.video_id}: coordinates overflow when normalised")
 
     frames = np.concatenate([centred, conf[:, :, None]], axis=2)
     segments = None if seq.gt_segments is None else visible_segments(seq.gt_segments,

@@ -4,9 +4,9 @@ Training regenerates pseudo labels from the pseudo-label branch's current
 outputs at every step (the freshest teacher) and sums the three loss terms;
 ablation flags drop individual terms or swap whole sub-networks. A fixed
 seed gives a bitwise-reproducible trajectory with one BLAS thread. The
-follower thread that the LSTM backward starts at large sizes
-(autodiff.lstm_timeline) keeps it so: it adds every gradient term in the
-order the calling thread alone would.
+worker thread that sums half of the LSTM weight-gradient row blocks
+(autodiff.lstm_timeline) keeps it so: each block is summed by one thread in
+a fixed order, whichever thread takes it.
 
 Each `train` call moves every parameter's values into a fresh
 ParameterArena of four flat buffers (values, gradient, Adam m and v) with

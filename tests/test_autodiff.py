@@ -1,6 +1,5 @@
-import sys
 import threading
-import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from wogma.errors import ConfigurationError, NumericalError
 from wogma.oamb import OnlineBranch
 import grad_oracle
 from grad_oracle import grad_check
-from lstm_oracle import per_step_timeline
+from lstm_oracle import per_step_node, per_step_timeline
 from tape_oracle import lstm_cell, masked_sigmoid_vals, softmax, tanh
 from tiled_oracle import collapse_window
 
@@ -219,13 +218,14 @@ def timeline_inputs(seed, count=9, feature_dim=5, hidden=6, classes=3):
             rng.standard_normal(classes) * 0.3]
 
 
-def run_two_videos(timeline, arrays, second_x, probes, frozen=()):
-    """Forward and backward over two videos, gradients gathered as in a batch;
-    the inputs at the indices in `frozen` take no gradient."""
+def run_videos(timeline, arrays, xs, probes, frozen=()):
+    """Forward and backward over each video in turn, the weights' gradients
+    gathered as in a batch; the inputs at the indices in `frozen` take no
+    gradient."""
     weights = [DTensor(a.copy(), requires_grad=j not in frozen)
                for j, a in enumerate(arrays[1:], start=1)]
     results = []
-    for x, probe in zip((arrays[0], second_x), probes):
+    for x, probe in zip(xs, probes):
         x = DTensor(x.copy(), requires_grad=0 not in frozen)
         with Tape() as tape:
             out = timeline(x, *weights)
@@ -236,6 +236,7 @@ def run_two_videos(timeline, arrays, second_x, probes, frozen=()):
 
 
 def assert_same_bits(fused, steps):
+    assert len(fused) == len(steps)
     for a, b in zip(fused, steps):
         assert (a is None) == (b is None)
         if a is not None:
@@ -243,12 +244,16 @@ def assert_same_bits(fused, steps):
             assert a.tobytes() == b.tobytes()
 
 
-def two_video_inputs(seed, count):
+def video_inputs(seed, count, videos=2):
     arrays = timeline_inputs(seed, count=count)
     rng = np.random.default_rng(seed + 1)
-    second_x = rng.standard_normal(arrays[0].shape)
-    probes = [rng.standard_normal((count, 3)) for _ in range(2)]
-    return arrays, second_x, probes
+    xs = [arrays[0]] + [rng.standard_normal(arrays[0].shape) for _ in range(videos - 1)]
+    probes = [rng.standard_normal((count, 3)) for _ in range(videos)]
+    return arrays, xs, probes
+
+
+def lstm_threads():
+    return [t for t in threading.enumerate() if t.name == "lstm-outer-sums"]
 
 
 @pytest.mark.parametrize("block_rows", [None, 4], ids=["default-block", "4-row-block"])
@@ -259,50 +264,12 @@ def test_lstm_timeline_equals_per_step_tape_bitwise(x_requires_grad, count, bloc
     if block_rows is not None:
         # w_hh (6 rows) and w_ih (5 rows) span a partial last block
         monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", block_rows * 4 * 6 * 8)
-    arrays, second_x, probes = two_video_inputs(31, count)
+    arrays, xs, probes = video_inputs(31, count)
     frozen = () if x_requires_grad else (0,)
-    bufsize = np.getbufsize()
-    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
-    assert np.getbufsize() == bufsize   # the term products' buffer is restored
-    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
-    assert_same_bits(fused, steps)
+    fused = run_videos(ad.lstm_timeline, arrays, xs, probes, frozen)
+    # the second video's node adds its whole gradient to the first one's once
+    assert_same_bits(fused, run_videos(per_step_node, arrays, xs, probes, frozen))
     assert (fused[1] is None) == (not x_requires_grad)
-
-
-CHUNK = 4
-
-
-@pytest.fixture
-def followed(monkeypatch):
-    """Start lstm_timeline's follower thread at any size, with CHUNK-step
-    releases and 2-row blocks; the list collects the followers that ran.
-
-    At small sizes the walk would finish before the follower gets the GIL,
-    so each release mid-walk waits until the follower has brought every
-    block down to the released step; the caller and the follower then share
-    the last chunk's blocks from both ends.
-    """
-    monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 0)
-    monkeypatch.setattr(ad, "FOLLOW_CHUNK_STEPS", CHUNK)
-    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 2 * 4 * 6 * 8)
-    threads = []
-    follow, release = ad._OuterTerms._follow, ad._OuterTerms.release
-
-    def recorded(self):
-        threads.append(threading.current_thread())
-        follow(self)
-
-    def lockstep(self, step):
-        release(self, step)
-        deadline = time.monotonic() + 10.0
-        while (step and self.worker is not None and self.worker.is_alive()
-               and any(block[2] > step for block in self.blocks)
-               and time.monotonic() < deadline):
-            time.sleep(1e-4)
-
-    monkeypatch.setattr(ad._OuterTerms, "_follow", recorded)
-    monkeypatch.setattr(ad._OuterTerms, "release", lockstep)
-    return threads
 
 
 FROZEN = {"all-grads": (), "x-frozen": (0,), "w_ih-frozen": (1,), "w_hh-frozen": (2,),
@@ -310,73 +277,108 @@ FROZEN = {"all-grads": (), "x-frozen": (0,), "w_ih-frozen": (1,), "w_hh-frozen":
 
 
 @pytest.mark.parametrize("frozen", FROZEN.values(), ids=FROZEN)
-@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
-def test_followed_backward_equals_per_step_tape_bitwise(followed, count, frozen):
-    arrays, second_x, probes = two_video_inputs(41, count)
-    threads, bufsize = threading.active_count(), np.getbufsize()
-    fused = run_two_videos(ad.lstm_timeline, arrays, second_x, probes, frozen)
-    assert threading.active_count() == threads and np.getbufsize() == bufsize
-    # one follower per backward pass, none with no weight gradient to add
-    assert len(followed) == (0 if frozen == (1, 2) else 2)
-    steps = run_two_videos(per_step_timeline, arrays, second_x, probes, frozen)
-    assert_same_bits(fused, steps)
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 15])
+def test_split_backward_equals_per_step_tape_bitwise(count, frozen, monkeypatch):
+    # blocks of the default size and of 1 and 4 rows, split between the
+    # worker thread and the caller; one video's gradients start from zero
+    # and take the per-step tape's bits, a second video's add to them once
+    for block_rows in (None, 1, 4):
+        if block_rows is not None:
+            monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", block_rows * 4 * 6 * 8)
+        for videos, oracle in ((1, per_step_timeline), (2, per_step_node)):
+            arrays, xs, probes = video_inputs(41, count, videos)
+            fused = run_videos(ad.lstm_timeline, arrays, xs, probes, frozen)
+            assert not lstm_threads()
+            assert_same_bits(fused, run_videos(oracle, arrays, xs, probes, frozen))
+            assert (fused[1] is None) == (0 in frozen)
 
 
-def test_free_running_follower_keeps_bits_under_fast_switching(monkeypatch):
-    # no lockstep: the walk and the follower interleave as the interpreter
-    # switches between them, here every microsecond; a term lost or added
-    # twice in a block shows in the gradients' bits
-    monkeypatch.setattr(ad, "FOLLOW_CHUNK_STEPS", 2)
-    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1 * 4 * 6 * 8)
-    arrays, second_x, probes = two_video_inputs(45, 40)
-    monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 2**62)
-    expected = run_two_videos(ad.lstm_timeline, arrays, second_x, probes)
-    monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", 0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        deadline = time.monotonic() + 2.0
-        runs = 0
-        while runs < 5 or (runs < 50 and time.monotonic() < deadline):
-            assert_same_bits(run_two_videos(ad.lstm_timeline, arrays, second_x, probes),
-                             expected)
-            runs += 1
-    finally:
-        sys.setswitchinterval(interval)
+def test_einsum_sums_products_in_memory_order_without_fused_multiply_add():
+    # lstm_timeline's weight gradients take the per-step tape's bits only if
+    # einsum adds each rounded product to a running sum from zero, in the
+    # memory order of the summed axis. Four hand-made terms, row 0 first:
+    # 1, a*b (rounds to 2**-53, exactly a little above it), 2**-53, 2**-53.
+    # Row 0 first with rounded products gives 1.0; oldest first, pairwise
+    # or with a fused multiply-add, another float.
+    a, b = 1 + 2.0**-52, 2.0**-53 * (1 - 2.0**-53)
+    left, right = np.array([1.0, a, 2.0**-53, 2.0**-53]), np.array([1.0, b, 1.0, 1.0])
+
+    def rounded(value):
+        return float(Fraction(value))
+
+    terms = [rounded(Fraction(l) * Fraction(r)) for l, r in zip(left, right)]
+    fused = 0.0
+    for l, r in zip(left, right):
+        fused = rounded(Fraction(fused) + Fraction(l) * Fraction(r))
+    oldest_first = 0.0
+    for term in reversed(terms):
+        oldest_first += term
+    assert fused != 1.0 and oldest_first != 1.0
+    assert (terms[0] + terms[1]) + (terms[2] + terms[3]) != 1.0
+    got = np.einsum("ir,ic->rc", np.repeat(left[:, None], 2, axis=1),
+                    np.repeat(right[:, None], 24, axis=1))
+    build = (f"numpy {np.__version__}, SIMD baseline "
+             f"{' '.join(np._core._multiarray_umath.__cpu_baseline__)}")
+    assert got.tolist() == [[1.0] * 24] * 2, (
+        f"np.einsum on {build} no longer sums the products of 'ir,ic->rc' one by "
+        f"one from zero in row order without a fused multiply-add; "
+        f"ad.lstm_timeline's weight gradients would lose the per-step tape's bits")
 
 
-def test_follower_error_is_raised_by_backward(followed, monkeypatch):
-    bring_down = ad._OuterTerms._bring_down
-    failed = threading.Event()
-
-    def failing(self, block, stop, term):
-        if threading.current_thread() in followed:
-            failed.set()
-            raise RuntimeError("follower failed")
-        failed.wait(timeout=60)   # let the follower take a block first
-        bring_down(self, block, stop, term)
-
-    monkeypatch.setattr(ad._OuterTerms, "_bring_down", failing)
-    arrays, second_x, probes = two_video_inputs(43, 2 * CHUNK + 7)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="follower failed"):
-        run_two_videos(ad.lstm_timeline, arrays, second_x, probes)
-    assert threading.active_count() == threads
-    assert failed.is_set()
+SPLITS = {"default-split": None, "all-on-worker": "worker", "all-on-caller": "caller"}
 
 
-def test_walk_error_stops_the_follower(followed, monkeypatch):
-    def failing(self, step):
-        raise RuntimeError("walk failed")
+@pytest.mark.parametrize("side", SPLITS.values(), ids=SPLITS)
+def test_gradient_bits_do_not_depend_on_the_block_split(side, monkeypatch):
+    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1)   # one gradient row per block
+    add_outer_sums = ad._add_outer_sums
+    splits = []
 
-    monkeypatch.setattr(ad._OuterTerms, "release", failing)
-    arrays, second_x, probes = two_video_inputs(44, 2 * CHUNK + 7)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="walk failed"):
-        run_two_videos(ad.lstm_timeline, arrays, second_x, probes)
-    # the follower waited for rows that never came, and was joined
-    assert len(followed) == 1
-    assert threading.active_count() == threads
+    def resplit(worker_jobs, own_jobs):
+        jobs = worker_jobs + own_jobs
+        splits.append((len(worker_jobs), len(own_jobs)))
+        if side is not None:
+            worker_jobs, own_jobs = (jobs, []) if side == "worker" else ([], jobs)
+        add_outer_sums(worker_jobs, own_jobs)
+
+    monkeypatch.setattr(ad, "_add_outer_sums", resplit)
+    arrays, xs, probes = video_inputs(41, 17)
+    fused = run_videos(ad.lstm_timeline, arrays, xs, probes)
+    # 6 w_hh rows, 5 w_ih rows and 6 w_a rows, half of them on the worker
+    assert splits == [(8, 9), (8, 9)]
+    assert_same_bits(fused, run_videos(per_step_node, arrays, xs, probes))
+
+
+class _FailingGrad:
+    """A gradient block whose += raises, noting the thread that ran it."""
+
+    def __init__(self):
+        self.thread = None
+
+    def __iadd__(self, other):
+        self.thread = threading.current_thread()
+        raise RuntimeError("block failed")
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_block_error_is_raised_by_backward_and_joins_the_worker(side, monkeypatch):
+    add_outer_sums = ad._add_outer_sums
+    failing = _FailingGrad()
+
+    def with_failing_job(worker_jobs, own_jobs):
+        job = [(failing, np.ones((2, 1)), np.ones((2, 1)))]
+        if side == "worker":
+            worker_jobs = worker_jobs + job
+        else:
+            own_jobs = own_jobs + job
+        add_outer_sums(worker_jobs, own_jobs)
+
+    monkeypatch.setattr(ad, "_add_outer_sums", with_failing_job)
+    arrays, xs, probes = video_inputs(43, 9, videos=1)
+    with pytest.raises(RuntimeError, match="block failed"):
+        run_videos(ad.lstm_timeline, arrays, xs, probes)
+    assert (failing.thread is threading.current_thread()) == (side == "caller")
+    assert not lstm_threads()
 
 
 def test_lstm_timeline_gradient():

@@ -215,6 +215,18 @@ def test_eval_non_utf8_dataset_exits_two(tmp_path, capsys):
     assert f"data error: {data}: not UTF-8 text at or after line " in capsys.readouterr().err
 
 
+def test_eval_empty_dataset_exits_two(tmp_path, capsys):
+    # no videos to score: no NaN report, as train rejects an empty training set
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    data = tmp_path / "empty.jsonl"
+    data.write_text("")
+    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", tmp_path / "out"]) == 2
+    assert f"data error: {data}: test set is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_eval_plot_pipeline(tmp_path, capsys):
     data = tmp_path / "train.jsonl"
     write_dataset(data)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wogma import dataset as ds
 from wogma.errors import ConfigurationError, DataFormatError
-from wogma.graph import L_HIP, NECK, R_HIP
+from wogma.graph import JOINT_COUNT, L_HIP, NECK, R_HIP
 
 
 def tiny_sequence(frames=5, joints=18, seed=0, label=1):
@@ -199,6 +200,23 @@ def test_preprocess_idempotent():
     np.testing.assert_array_equal(once.frames, twice.frames)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("neck, joint, value, message", [
+    (-8e307, L_HIP, 2.7e154, "degenerate trunk length inf"),   # its square overflows
+    (-8e307, 0, 1.5e308, "coordinates overflow when normalised"),   # centring overflows
+    (0.0, 0, 1e300, "coordinates overflow when normalised"),   # scaling by 1e-10 overflows
+], ids=["trunk", "centred", "scaled"])
+def test_preprocess_rejects_finite_frames_that_overflow(neck, joint, value, message):
+    # they became all-zero or inf coordinates, and NaN scores further on;
+    # numpy's overflow warnings are not printed besides the error
+    seq = tiny_sequence(frames=1)
+    seq.frames[0, NECK, :2] = [neck, 0.0]
+    seq.frames[0, [R_HIP, L_HIP], :2] = [[neck, 1e-10], [neck, 1e-10]]
+    seq.frames[0, joint, 0] = value
+    with pytest.raises(DataFormatError, match=f"v0: {message}"):
+        ds.preprocess(seq, max_frames=2)
+
+
 def test_preprocess_all_zero_sequence_rejected():
     seq = ds.SkeletonSequence(video_id="z", fps=20.0, labels=[0],
                               frames=np.zeros((10, 18, 3)), gt_segments=None)
@@ -308,3 +326,64 @@ def test_every_synth_params_that_builds_gives_a_dataset_the_loader_reads(tmp_pat
         assert (a.video_id, a.fps, a.labels, a.gt_segments) == (
             b.video_id, b.fps, b.labels, b.gt_segments)
         np.testing.assert_array_equal(a.frames, b.frames)
+
+
+# any finite value, ±0.0, subnormals and the extremes included; pixel-sized
+# values come up often enough that many drawn videos pass preprocess, which
+# rejects a trunk length or a centred coordinate that overflows
+FINITE = st.floats(-1e4, 1e4) | st.floats(allow_nan=False, allow_infinity=False)
+# a zero confidence is drawn with either sign, a positive one more often
+CONFIDENCE = st.floats(0.0, 1.0, exclude_min=True) | st.floats(0.0, 1.0) | st.just(-0.0)
+
+
+@st.composite
+def skeleton_frames(draw, max_length=4):
+    length = draw(st.integers(1, max_length))
+    # every element drawn on its own, not mostly one fill value
+    coords = draw(hnp.arrays(np.float64, (length, JOINT_COUNT, 2), elements=FINITE,
+                             fill=st.nothing()))
+    conf = draw(hnp.arrays(np.float64, (length, JOINT_COUNT, 1), elements=CONFIDENCE,
+                           fill=st.nothing()))
+    return np.concatenate([coords, conf], axis=2)
+
+
+@st.composite
+def skeleton_sequences(draw):
+    frames = draw(skeleton_frames())
+    length = frames.shape[0]
+    segment = st.tuples(st.integers(1, length), st.integers(1, length),
+                        st.integers(1, 2**40)).map(lambda s: (min(s[:2]), max(s[:2]), s[2]))
+    return ds.SkeletonSequence(
+        video_id=draw(st.text(max_size=8)),
+        fps=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        labels=draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3)),
+        frames=frames,
+        gt_segments=draw(st.none() | st.lists(segment, max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(skeleton_sequences(), max_size=3))
+def test_save_then_load_gives_back_every_field_and_the_frames_bitwise(tmp_path_factory, seqs):
+    path = tmp_path_factory.mktemp("round") / "d.jsonl"
+    ds.save_sequences(path, seqs)
+    loaded = ds.load_sequences(path)
+    assert len(loaded) == len(seqs)
+    for a, b in zip(seqs, loaded):
+        assert (a.video_id, a.fps, a.labels, a.gt_segments) == (
+            b.video_id, b.fps, b.labels, b.gt_segments)
+        assert b.frames.dtype == np.float64 and b.frames.shape == a.frames.shape
+        assert b.frames.tobytes() == a.frames.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(skeleton_frames(), st.integers(1, 6))
+def test_preprocess_is_idempotent_bitwise(frames, max_frames):
+    seq = ds.SkeletonSequence(video_id="v", fps=20.0, labels=[1], frames=frames,
+                              gt_segments=[(1, frames.shape[0], 1)])
+    try:
+        once = ds.preprocess(seq, max_frames)
+    except DataFormatError:
+        assume(False)
+    twice = ds.preprocess(once, max_frames)
+    assert twice.frames.tobytes() == once.frames.tobytes()
+    assert twice.gt_segments == once.gt_segments

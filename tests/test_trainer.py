@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from adam_oracle import PerParameterAdam
 from conftest import (checkpoint_field_ranges, corrupt_saved_checkpoint, micro_clips,
                       micro_config, micro_model)
-from lstm_oracle import per_step_timeline
+from lstm_oracle import per_step_node, per_step_timeline
 from wogma import autodiff as ad
 from wogma import trainer as tr
 from wogma.autodiff import Parameter
@@ -195,61 +195,48 @@ def test_training_is_bitwise_deterministic(small_training_config):
     assert metrics_a == metrics_b
 
 
-def per_step_branch_timeline(branch, features):
-    p = branch.params
-    return per_step_timeline(features, p["oamb.w_ih"], p["oamb.w_hh"], p["oamb.b"],
-                             p["oamb.w_a"], p["oamb.b_a"])
+def per_step_branch_timeline(oracle):
+    def timeline(branch, features):
+        p = branch.params
+        return oracle(features, p["oamb.w_ih"], p["oamb.w_hh"], p["oamb.b"],
+                      p["oamb.w_a"], p["oamb.b_a"])
+    return timeline
+
+
+def train_digests(tmp_path, name, data, config):
+    model, metrics = tr.train(data, config)
+    tr.save_checkpoint(tmp_path / f"{name}.bin", model, epoch=config.epochs)
+    tr.write_metrics_csv(tmp_path / f"{name}.csv", metrics)
+    return [hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest()
+            for ext in ("bin", "csv")]
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])
 def test_one_node_timeline_keeps_training_trajectory(tmp_path, small_training_config,
                                                       batch_size, monkeypatch):
+    # lstm_timeline adds a video's whole weight gradient once: at batch size 1
+    # it starts from zero and gives the per-step tape's bits; at 2 the second
+    # video's sum is added to the first one's, as per_step_node adds it
     config = dataclasses.replace(small_training_config, batch_size=batch_size)
     data = small_dataset()
-    outputs = []
-    for name in ("one-node", "per-step"):
-        if name == "per-step":
-            monkeypatch.setattr(OnlineBranch, "timeline", per_step_branch_timeline)
-        model, metrics = tr.train(data, config)
-        tr.save_checkpoint(tmp_path / f"{name}.bin", model, epoch=config.epochs)
-        tr.write_metrics_csv(tmp_path / f"{name}.csv", metrics)
-        outputs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("bin", "csv")])
-    assert outputs[0] == outputs[1]
+    one_node = train_digests(tmp_path, "one-node", data, config)
+    oracle = per_step_timeline if batch_size == 1 else per_step_node
+    monkeypatch.setattr(OnlineBranch, "timeline", per_step_branch_timeline(oracle))
+    assert one_node == train_digests(tmp_path, "per-step", data, config)
 
 
-def test_follower_keeps_training_bitwise(tmp_path, small_training_config, monkeypatch):
-    # lstm_timeline's follower thread forced on at any size, then off
-    monkeypatch.setattr(ad, "FOLLOW_CHUNK_STEPS", 2)
-    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 2 * 4 * small_training_config.hidden * 8)
-    starts = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
-    digests = []
-    for follow_min in (0, 2**62):
-        monkeypatch.setattr(ad, "FOLLOW_MIN_TERMS", follow_min)
-        model, metrics = tr.train(small_dataset(), small_training_config)
-        path = tmp_path / f"{follow_min}.bin"
-        tr.save_checkpoint(path, model, epoch=small_training_config.epochs)
-        tr.write_metrics_csv(tmp_path / f"{follow_min}.csv", metrics)
-        digests.append([hashlib.sha256(p.read_bytes()).hexdigest()
-                        for p in (path, tmp_path / f"{follow_min}.csv")])
-        # one follower per video step when forced on, none when off
-        assert len(starts) == 8 * small_training_config.epochs
-    assert digests[0] == digests[1]
-
-
-def test_acceptance_point_backward_starts_no_thread(monkeypatch):
-    # train-acceptance and criterion 6 keep the caller-only path
-    starts = []
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self)))
-    config = TrainConfig(hidden=128, max_frames=600, epochs=1, seed=5)
-    _, metrics = tr.train(synthesize(SynthParams(n_videos=1, frames=600, seed=5)), config)
-    assert len(metrics) == 1 and not starts
-    # while the paper point's terms start one
-    paper = TrainConfig()
-    clips = paper.max_frames // paper.stride
-    assert clips * (paper.hidden + paper.feature_dim) * 4 * paper.hidden > ad.FOLLOW_MIN_TERMS
+def test_training_bits_do_not_depend_on_the_block_split(tmp_path, small_training_config,
+                                                        monkeypatch):
+    # every block of one gradient row on the worker thread, against the
+    # default blocks and split; no worker outlives its backward pass
+    data = small_dataset()
+    default = train_digests(tmp_path, "default", data, small_training_config)
+    add_outer_sums = ad._add_outer_sums
+    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1)
+    monkeypatch.setattr(ad, "_add_outer_sums",
+                        lambda worker_jobs, own_jobs: add_outer_sums(worker_jobs + own_jobs, []))
+    assert train_digests(tmp_path, "worker", data, small_training_config) == default
+    assert not [t for t in threading.enumerate() if t.name == "lstm-outer-sums"]
 
 
 def test_metrics_csv_reads_back_as_floats(tmp_path, small_training_config):
