@@ -1,4 +1,6 @@
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +351,26 @@ def test_gradient_bits_do_not_depend_on_the_block_split(side, monkeypatch):
     assert_same_bits(fused, run_videos(per_step_node, arrays, xs, probes))
 
 
+def test_free_running_follower_keeps_bits_under_fast_switching(monkeypatch):
+    # the follower, the worker thread that adds half of the row blocks, runs
+    # free beside the caller while the interpreter switches between them
+    # every microsecond; a block added twice, or not at all, shows in the bits
+    monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1)   # one gradient row per block
+    arrays, xs, probes = video_inputs(45, 40)
+    expected = run_videos(per_step_node, arrays, xs, probes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        runs = 0
+        while runs < 5 or (runs < 50 and time.monotonic() < deadline):
+            assert_same_bits(run_videos(ad.lstm_timeline, arrays, xs, probes), expected)
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert not lstm_threads()
+
+
 class _FailingGrad:
     """A gradient block whose += raises, noting the thread that ran it."""
 
@@ -360,8 +382,9 @@ class _FailingGrad:
         raise RuntimeError("block failed")
 
 
-@pytest.mark.parametrize("side", ["worker", "caller"])
-def test_block_error_is_raised_by_backward_and_joins_the_worker(side, monkeypatch):
+def run_with_failing_block(side, monkeypatch):
+    """Backward with one more job, whose += raises, on the given side of the
+    split; returns the failing block."""
     add_outer_sums = ad._add_outer_sums
     failing = _FailingGrad()
 
@@ -377,8 +400,34 @@ def test_block_error_is_raised_by_backward_and_joins_the_worker(side, monkeypatc
     arrays, xs, probes = video_inputs(43, 9, videos=1)
     with pytest.raises(RuntimeError, match="block failed"):
         run_videos(ad.lstm_timeline, arrays, xs, probes)
-    assert (failing.thread is threading.current_thread()) == (side == "caller")
+    return failing
+
+
+def test_follower_error_is_raised_by_backward(monkeypatch):
+    # an error in the follower's half is raised by Tape.backward, and the
+    # follower is joined before it is
+    failing = run_with_failing_block("worker", monkeypatch)
+    assert failing.thread is not threading.current_thread()
     assert not lstm_threads()
+
+
+def test_caller_block_error_is_raised_after_joining_the_follower(monkeypatch):
+    failing = run_with_failing_block("caller", monkeypatch)
+    assert failing.thread is threading.current_thread()
+    assert not lstm_threads()
+
+
+def test_walk_error_stops_the_follower(monkeypatch):
+    # an error in the BPTT walk, here inf - inf under np.errstate(invalid=
+    # "raise") at the oldest step, is raised before any sum: the follower
+    # never starts
+    summed = []
+    monkeypatch.setattr(ad, "_add_outer_sums", lambda *jobs: summed.append(jobs))
+    arrays, xs, probes = video_inputs(44, 9, videos=1)
+    probes[0][0, 0] = np.inf
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        run_videos(ad.lstm_timeline, arrays, xs, probes)
+    assert not summed and not lstm_threads()
 
 
 def test_lstm_timeline_gradient():

@@ -225,10 +225,10 @@ def test_one_node_timeline_keeps_training_trajectory(tmp_path, small_training_co
     assert one_node == train_digests(tmp_path, "per-step", data, config)
 
 
-def test_training_bits_do_not_depend_on_the_block_split(tmp_path, small_training_config,
-                                                        monkeypatch):
-    # every block of one gradient row on the worker thread, against the
-    # default blocks and split; no worker outlives its backward pass
+def test_follower_keeps_training_bitwise(tmp_path, small_training_config, monkeypatch):
+    # every block of one gradient row on the follower, the worker thread of
+    # lstm_timeline's weight-gradient sums, against the default blocks and
+    # split; no follower outlives its backward pass
     data = small_dataset()
     default = train_digests(tmp_path, "default", data, small_training_config)
     add_outer_sums = ad._add_outer_sums
