@@ -83,7 +83,8 @@ def build_parser() -> _Parser:
 
     tr = sub.add_parser("train", help="train a model and write checkpoint + metrics")
     tr.add_argument("--config", default=None,
-                    help="JSON object of TrainConfig fields, train_data and out_dir")
+                    help="JSON object of TrainConfig fields, train_data and out_dir; "
+                         "an unknown key is an error")
     tr.add_argument("--data", dest="train_data", default=None,
                     help="training JSONL (overrides config)")
     tr.add_argument("--out-dir", default=None)
@@ -195,9 +196,8 @@ def cmd_eval(args) -> int:
         writer.writerows(report.early_curve)
     with open(out_dir / "timelines.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        classes = model.config.n_c
-        headers = ["video_id", "clip", "start_frame", "end_frame", "prob_background"]
-        writer.writerow(headers + [f"prob_class_{c}" for c in range(1, classes + 1)])
+        writer.writerow(["video_id", "clip", "start_frame", "end_frame", "prob_background",
+                         "prob_class_1"])
         for r in results:
             for i, row in enumerate(r.timeline, start=1):
                 start, end = model.windowing.frame_interval(i)
@@ -209,7 +209,7 @@ def cmd_eval(args) -> int:
 def _instance_records(video_id, timeline, threshold, windowing) -> list[dict]:
     """instances.json entries of one timeline's detections."""
     return [{"video_id": video_id, "start_frame": inst.start_frame,
-             "end_frame": inst.end_frame, "score": inst.score, "class": inst.label}
+             "end_frame": inst.end_frame, "score": inst.score, "class": 1}
             for inst in extract_instances(timeline, threshold, windowing)]
 
 

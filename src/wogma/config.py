@@ -45,7 +45,8 @@ class TrainConfig:
     Defaults follow the reference operating point: Adam at lr 5e-5 with
     weight decay 5e-4 for 100 epochs, clip window tau = stride = 20, top-K
     divisor kappa = 8, pseudo-label thresholds 0.4 / 0.3, 6000-frame
-    truncation/padding, LSTM hidden size 1024, one action class.
+    truncation/padding, LSTM hidden size 1024. The model detects one action
+    class; the data format fixes it.
     """
 
     lr: float = 5e-5
@@ -58,7 +59,6 @@ class TrainConfig:
     stride: int = 20
     max_frames: int = 6000
     hidden: int = 1024
-    n_c: int = 1
     seed: int = 0
     batch_size: int = 1
     ablate_pseudo: bool = False
@@ -78,8 +78,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
-        for name in ("tau", "stride", "kappa", "epochs", "max_frames", "hidden", "n_c",
-                     "batch_size", "gcn_channels", "gcn_layers", "feature_dim", "conv_layers"):
+        for name in ("tau", "stride", "kappa", "epochs", "max_frames", "hidden", "batch_size",
+                     "gcn_channels", "gcn_layers", "feature_dim", "conv_layers"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")

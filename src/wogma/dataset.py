@@ -1,16 +1,22 @@
 """Skeleton sequence I/O, preprocessing, and the synthetic dataset generator.
 
-Sequences are stored as JSONL: one object per line with video_id, fps,
-label, optional gt_segments, and the raw T x N x 3 frame array (x, y,
-confidence per joint). Preprocessing truncates/pads to a fixed length and
-normalises each frame by neck position and median trunk length.
+Sequences are stored as JSONL, one object per line:
+  video_id     a string;
+  fps          a finite number above 0;
+  label        the integer 1 if the video shows the action (fidgety
+               movements), else 0;
+  gt_segments  optional: a list of [start, end, 1] integer triples, 1-indexed
+               inclusive frames; 1 is the one action class;
+  frames       the raw T x 18 x 3 array (x, y, confidence per joint).
+Preprocessing truncates/pads to a fixed length and normalises each frame by
+neck position and median trunk length.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +57,7 @@ BASE_POSE = np.array([
 class SkeletonSequence:
     video_id: str
     fps: float
-    labels: list[int]                                  # one {0,1} entry per class
+    labels: list[int]                                  # [label]: [0] or [1]
     frames: np.ndarray                                 # (T, N, 3) float64
     gt_segments: list[tuple[int, int, int]] | None = None  # (start, end, class), 1-indexed
 
@@ -65,11 +71,10 @@ class SkeletonSequence:
 # ---------------------------------------------------------------------------
 
 def _label_list(raw) -> list[int]:
-    """A video's labels from JSON: 0 or 1, or a list of them, one per class."""
-    labels = raw if isinstance(raw, list) else [raw]
-    if any(type(v) is not int or v not in (0, 1) for v in labels):
-        raise ValueError(f"label must be 0 or 1, or a list of them, got {raw!r}")
-    return labels
+    """A video's labels from its JSON label, the integer 0 or 1."""
+    if type(raw) is not int or raw not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {raw!r}")
+    return [raw]
 
 
 def save_sequences(path, sequences: list[SkeletonSequence]) -> None:
@@ -78,7 +83,7 @@ def save_sequences(path, sequences: list[SkeletonSequence]) -> None:
             obj = {
                 "video_id": seq.video_id,
                 "fps": seq.fps,
-                "label": seq.labels[0] if len(seq.labels) == 1 else seq.labels,
+                "label": seq.labels[0],
                 "gt_segments": None if seq.gt_segments is None
                 else [[int(s), int(e), int(c)] for s, e, c in seq.gt_segments],
                 "frames": seq.frames.tolist(),
@@ -122,7 +127,7 @@ def check_frames(frames: np.ndarray, where: str) -> None:
 
 def _segment_list(raw, frame_count: int, where: str) -> list[tuple[int, int, int]]:
     """A video's gt_segments from JSON: [start, end, class] lists of integers
-    (booleans excluded) with 1 <= start <= end <= frame_count and class >= 1."""
+    (booleans excluded) with 1 <= start <= end <= frame_count and class 1."""
     if not isinstance(raw, list):
         raise DataFormatError(f"{where}: gt_segments must be a list, got {raw!r}")
     for seg in raw:
@@ -133,8 +138,9 @@ def _segment_list(raw, frame_count: int, where: str) -> list[tuple[int, int, int
         if not 1 <= seg[0] <= seg[1] <= frame_count:
             raise DataFormatError(
                 f"{where}: segment {seg} needs 1 <= start <= end <= {frame_count} frames")
-        if seg[2] < 1:
-            raise DataFormatError(f"{where}: segment {seg} has class {seg[2]}, classes start at 1")
+        if seg[2] != 1:
+            raise DataFormatError(f"{where}: segment {seg} has class {seg[2]}, "
+                                  "classes start at 1 and 1 is the only one")
     return [tuple(seg) for seg in raw]
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SkeletonSequence, visible_segments
-from .errors import ConfigurationError, DataFormatError
 from .model import ActionDetector
 from .oamb import DetectionInstance, extract_instances, prefix_video_prob
 
@@ -92,7 +91,6 @@ class ScoredSegment:
     start: int
     end: int
     score: float = 0.0
-    label: int = 1
 
 
 def average_precision(predictions: list[ScoredSegment], gt: list[ScoredSegment],
@@ -108,7 +106,7 @@ def average_precision(predictions: list[ScoredSegment], gt: list[ScoredSegment],
         best_iou = 0.0
         best_idx = -1
         for idx, seg in enumerate(gt):
-            if matched[idx] or seg.video_id != pred.video_id or seg.label != pred.label:
+            if matched[idx] or seg.video_id != pred.video_id:
                 continue
             iou = temporal_iou((pred.start, pred.end), (seg.start, seg.end))
             if iou > best_iou:
@@ -123,17 +121,8 @@ def average_precision(predictions: list[ScoredSegment], gt: list[ScoredSegment],
 
 def detection_map(predictions: list[ScoredSegment],
                   gt: list[ScoredSegment]) -> dict[float, float]:
-    """AP at each of IOU_THRESHOLDS, averaged over action classes."""
-    classes = sorted({seg.label for seg in gt}) or [1]
-    out = {}
-    for thr in IOU_THRESHOLDS:
-        per_class = []
-        for cls in classes:
-            per_class.append(average_precision(
-                [p for p in predictions if p.label == cls],
-                [g for g in gt if g.label == cls], thr))
-        out[thr] = float(np.mean(per_class))
-    return out
+    """AP at each of IOU_THRESHOLDS."""
+    return {thr: average_precision(predictions, gt, thr) for thr in IOU_THRESHOLDS}
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +133,7 @@ def detection_map(predictions: list[ScoredSegment],
 class VideoResult:
     video_id: str
     label: int
-    timeline: np.ndarray                       # (L, n_c+1) causal probabilities
+    timeline: np.ndarray                       # (L, 2) causal probabilities
     video_prob: float
     instances: list[DetectionInstance]
     gt_segments: list[tuple[int, int, int]] | None   # as the dataset holds them
@@ -220,12 +209,11 @@ def build_report(results: list[VideoResult], fractions, kappa: int) -> EvalRepor
     for r in results:
         if not r.gt_segments:
             continue   # detection is scored on annotated videos only
-        for s, e, c in visible_segments(r.gt_segments, r.max_frames):
-            gt.append(ScoredSegment(video_id=r.video_id, start=s, end=e, label=c))
+        for s, e, _ in visible_segments(r.gt_segments, r.max_frames):
+            gt.append(ScoredSegment(video_id=r.video_id, start=s, end=e))
         for inst in r.instances:
             predictions.append(ScoredSegment(video_id=r.video_id, start=inst.start_frame,
-                                             end=inst.end_frame, score=inst.score,
-                                             label=inst.label))
+                                             end=inst.end_frame, score=inst.score))
     map_at = detection_map(predictions, gt)
     curve = early_observation_curve(results, fractions, kappa)
     return EvalReport(accuracy=accuracy, f1=f1, auc=auc, map_at=map_at,
@@ -237,25 +225,7 @@ def build_report(results: list[VideoResult], fractions, kappa: int) -> EvalRepor
 def evaluate(model: ActionDetector, dataset: list[SkeletonSequence], fractions,
              instance_threshold: float) -> tuple[EvalReport, list[VideoResult]]:
     """Score every video and build the report, with the early curve at
-    `fractions` and instances above `instance_threshold`.
-
-    Raises DataFormatError, naming the video, if a video does not carry one
-    label per class of the model, as training requires, or has a segment
-    of a class above the model's n_c; then ConfigurationError if the model
-    has more than one class, as every metric here scores class 1 only.
-    """
-    for seq in dataset:
-        if len(seq.labels) != model.config.n_c:
-            raise DataFormatError(
-                f"{seq.video_id}: {len(seq.labels)} labels for {model.config.n_c} classes")
-        for start, end, cls in seq.gt_segments or []:
-            if cls > model.config.n_c:
-                raise DataFormatError(
-                    f"{seq.video_id}: segment ({start}, {end}) has class {cls}, "
-                    f"above the model's n_c = {model.config.n_c}")
-    if model.config.n_c > 1:
-        raise ConfigurationError(
-            f"eval scores one action class; the model has n_c = {model.config.n_c}")
+    `fractions` and instances above `instance_threshold`."""
     results = score_videos(model, dataset, instance_threshold)
     report = build_report(results, fractions, model.config.kappa)
     return report, results

@@ -8,13 +8,17 @@ from .autodiff import DTensor, Parameter
 from .config import TrainConfig
 from .cpgb import PseudoLabelBranch
 from .dataset import CHANNELS, SkeletonSequence, preprocess
-from .graph import SkeletonGraph, build_multiscale, default_skeleton
+from .graph import JOINT_COUNT, build_multiscale, default_skeleton
 from .lfem import ClipWindowing, LocalFeatureExtractor, split_clips
 from .oamb import OnlineBranch
 
 
 class ActionDetector:
     """Full detection model: clip features, pseudo-label branch, online branch.
+
+    It detects one action class on the default 18-joint skeleton, as the
+    data format fixes both: one 0/1 label per video and `graph.JOINT_COUNT`
+    joints per frame.
 
     Parameter creation order is fixed, and all randomness flows from the
     config seed, so two models built from the same config are identical.
@@ -26,25 +30,20 @@ class ActionDetector:
     `dataset.CHANNELS` values per joint.
     """
 
-    def __init__(self, config: TrainConfig, skeleton: SkeletonGraph | None = None, *,
-                 initialise: bool = True):
+    def __init__(self, config: TrainConfig, *, initialise: bool = True):
         self.config = config
-        self.skeleton = skeleton if skeleton is not None else default_skeleton()
         self.windowing = ClipWindowing(tau=config.tau, stride=config.stride)
         rng = np.random.default_rng(config.seed) if initialise else None
         self.extractor = LocalFeatureExtractor(
-            build_multiscale(self.skeleton, scales=config.scales), tau=config.tau,
-            joints=self.skeleton.joint_count,
-            in_channels=CHANNELS, gcn_channels=config.gcn_channels,
+            build_multiscale(default_skeleton(), scales=config.scales), tau=config.tau,
+            joints=JOINT_COUNT, in_channels=CHANNELS, gcn_channels=config.gcn_channels,
             gcn_layers=config.gcn_layers, feature_dim=config.feature_dim,
             ablate_local=config.ablate_local, rng=rng)
         self.pseudo_branch = PseudoLabelBranch(
-            feature_dim=config.feature_dim, n_classes=config.n_c,
-            conv_layers=config.conv_layers, conv_kernel=config.conv_kernel,
-            ablate_longrange=config.ablate_longrange, rng=rng)
+            feature_dim=config.feature_dim, conv_layers=config.conv_layers,
+            conv_kernel=config.conv_kernel, ablate_longrange=config.ablate_longrange, rng=rng)
         self.online_branch = OnlineBranch(
-            feature_dim=config.feature_dim, hidden=config.hidden,
-            n_classes=config.n_c, rng=rng)
+            feature_dim=config.feature_dim, hidden=config.hidden, rng=rng)
         self.params: dict[str, Parameter] = {}
         for bundle in (self.extractor.params, self.pseudo_branch.params,
                        self.online_branch.params):
@@ -69,6 +68,7 @@ class ActionDetector:
         return self.extractor.extract(clips)
 
     def infer_timeline(self, clips: np.ndarray) -> np.ndarray:
-        """Causal (L, n_c+1) probabilities; tape-free inference path."""
+        """Causal (L, 2) probabilities, background then action; tape-free
+        inference path."""
         feats = self.extractor.extract(clips)
         return self.online_branch.stream(feats.values)

@@ -1,7 +1,7 @@
 """Online action modeling branch: causal recurrent scoring of clips.
 
-Each clip advances an LSTM state and emits a softmax over n_c action classes
-plus background (index 0). Row i of the timeline depends on clips 1..i only.
+Each clip advances an LSTM state and emits a softmax over background (index
+0) and the action (index 1). Row i of the timeline depends on clips 1..i only.
 The streaming path (online_step) and the training path (timeline, one tape
 node through ad.lstm_timeline) both run the one step kernel
 ad.lstm_step_values per clip, softmax head included, so their outputs are
@@ -10,7 +10,7 @@ bitwise identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,24 +34,21 @@ class DetectionInstance:
     start_frame: int
     end_frame: int
     score: float
-    label: int
 
 
 class OnlineBranch:
     """LSTM over clip features plus an affine scoring head."""
 
-    def __init__(self, feature_dim: int, hidden: int, n_classes: int,
-                 rng: np.random.Generator | None):
+    def __init__(self, feature_dim: int, hidden: int, rng: np.random.Generator | None):
         self.feature_dim = feature_dim
         self.hidden = hidden
-        self.n_classes = n_classes
         self.params: dict[str, Parameter] = {}
         gate_fan = feature_dim + hidden
         self._add(ad.init_uniform(rng, (feature_dim, 4 * hidden), gate_fan, "oamb.w_ih"))
         self._add(ad.init_uniform(rng, (hidden, 4 * hidden), gate_fan, "oamb.w_hh"))
         self._add(ad.init_zeros((4 * hidden,), "oamb.b"))
-        self._add(ad.init_uniform(rng, (hidden, n_classes + 1), hidden, "oamb.w_a"))
-        self._add(ad.init_zeros((n_classes + 1,), "oamb.b_a"))
+        self._add(ad.init_uniform(rng, (hidden, 2), hidden, "oamb.w_a"))
+        self._add(ad.init_zeros((2,), "oamb.b_a"))
 
     def _add(self, param: Parameter) -> Parameter:
         self.params[param.name] = param
@@ -63,7 +60,7 @@ class OnlineBranch:
     # -- streaming (inference) path ----------------------------------------
 
     def online_step(self, state: OnlineState, feature: np.ndarray) -> tuple[OnlineState, np.ndarray]:
-        """Advance one clip; returns the new state and the (n_c+1,) softmax row.
+        """Advance one clip; returns the new state and the (2,) softmax row.
 
         Runs ad.lstm_step_values, the training timeline's step kernel and head,
         so streaming rows equal `timeline` rows bitwise by construction.
@@ -75,9 +72,9 @@ class OnlineBranch:
         return OnlineState(h=h, c=c, clips_seen=state.clips_seen + 1), probs
 
     def stream(self, features: np.ndarray) -> np.ndarray:
-        """Run the streaming path over (L, C_f) features -> (L, n_c+1)."""
+        """Run the streaming path over (L, C_f) features -> (L, 2)."""
         state = self.initial_state()
-        rows = np.empty((features.shape[0], self.n_classes + 1))
+        rows = np.empty((features.shape[0], 2))
         for i in range(features.shape[0]):
             state, rows[i] = self.online_step(state, features[i])
         return rows
@@ -85,7 +82,7 @@ class OnlineBranch:
     # -- training path -------------------------------------------------------
 
     def timeline(self, features: DTensor) -> DTensor:
-        """Differentiable timeline (L, n_c+1) over clip features (L, C_f).
+        """Differentiable timeline (L, 2) over clip features (L, C_f).
 
         One tape node for the whole recurrence; its rows equal `stream`'s
         bitwise, as both run `ad.lstm_step_values` per clip.
@@ -109,10 +106,10 @@ def frame_loss(timeline: DTensor, pseudo_labels: np.ndarray) -> DTensor:
 
 def mil_loss_online(timeline: DTensor, labels: np.ndarray,
                     kappa: int) -> tuple[DTensor, np.ndarray]:
-    """Top-K pooled video probability per action class, scored as BCE;
-    also returns the pooled probabilities.
+    """Top-K pooled video probability of the action, scored as BCE; also
+    returns the pooled (1,) probability.
 
-    Pooling runs on the post-softmax action columns, which already live in
+    Pooling runs on the post-softmax action column, which already live in
     [0, 1], so no extra squashing is applied.
     """
     video = topk_pool(timeline, kappa, 1)
@@ -120,7 +117,7 @@ def mil_loss_online(timeline: DTensor, labels: np.ndarray,
 
 
 def prefix_video_prob(timeline_probs: np.ndarray, prefix: int, kappa: int) -> np.ndarray:
-    """Top-K video probability per action class over the first `prefix` clips."""
+    """(1,) top-K video probability of the action over the first `prefix` clips."""
     count = timeline_probs.shape[0]
     if not 1 <= prefix <= count:
         raise ValueError(f"prefix {prefix} outside 1..{count}")
@@ -129,30 +126,29 @@ def prefix_video_prob(timeline_probs: np.ndarray, prefix: int, kappa: int) -> np
 
 def extract_instances(timeline_probs: np.ndarray, threshold: float,
                       windowing: ClipWindowing) -> list[DetectionInstance]:
-    """Maximal runs of consecutive above-threshold clips, one instance each.
+    """Maximal runs of consecutive clips whose action probability (column 1)
+    is above threshold, one instance each.
 
     Instance score is the mean clip probability over the run; boundaries map
     through the clip window. Instances come back sorted by score descending.
     """
     instances: list[DetectionInstance] = []
-    count = timeline_probs.shape[0]
-    for cls in range(1, timeline_probs.shape[1]):
-        col = timeline_probs[:, cls]
-        i = 0
-        while i < count:
-            if col[i] >= threshold:
-                j = i
-                while j + 1 < count and col[j + 1] >= threshold:
-                    j += 1
-                start, _ = windowing.frame_interval(i + 1)
-                _, end = windowing.frame_interval(j + 1)
-                instances.append(DetectionInstance(
-                    start_frame=start, end_frame=end,
-                    score=float(col[i:j + 1].mean()), label=cls))
-                i = j + 1
-            else:
-                i += 1
-    instances.sort(key=lambda inst: (-inst.score, inst.start_frame, inst.label))
+    col = timeline_probs[:, 1]
+    count = col.shape[0]
+    i = 0
+    while i < count:
+        if col[i] >= threshold:
+            j = i
+            while j + 1 < count and col[j + 1] >= threshold:
+                j += 1
+            start, _ = windowing.frame_interval(i + 1)
+            _, end = windowing.frame_interval(j + 1)
+            instances.append(DetectionInstance(start_frame=start, end_frame=end,
+                                               score=float(col[i:j + 1].mean())))
+            i = j + 1
+        else:
+            i += 1
+    instances.sort(key=lambda inst: (-inst.score, inst.start_frame))
     return instances
 
 

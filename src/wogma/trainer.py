@@ -39,7 +39,7 @@ from .autodiff import DTensor, Parameter, Tape
 from .config import TrainConfig, train_config_from_dict
 from .cpgb import generate_pseudo_labels, mil_loss
 from .dataset import SkeletonSequence
-from .errors import DataFormatError, NumericalError
+from .errors import ConfigurationError, DataFormatError, NumericalError
 from .model import ActionDetector
 from .oamb import frame_loss, mil_loss_online
 
@@ -57,7 +57,7 @@ class LossParts:
     mil_pseudo: float
     frame: float
     mil_online: float
-    video_prob: np.ndarray  # per-class online video probability
+    video_prob: np.ndarray  # (1,) online video probability
 
 
 @dataclass
@@ -214,10 +214,6 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
     """
     if not dataset:
         raise DataFormatError("training dataset is empty")
-    for seq in dataset:
-        if len(seq.labels) != config.n_c:
-            raise DataFormatError(
-                f"{seq.video_id}: {len(seq.labels)} labels for {config.n_c} classes")
     if model is None:
         model = ActionDetector(config)
     videos = [(model.prepare_clips(seq), np.asarray(seq.labels), seq.video_id)
@@ -283,9 +279,11 @@ def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
 #   magic "WOGM" | version u32 | config JSON (u32 length + UTF-8) | epoch u32 |
 #   per parameter in model.params order: name length u32, UTF-8 name,
 #     rank u32, dims u32[rank], float64 values
-# and nothing after the last record. Payloads are written from the arrays'
-# own buffers and read back into the arrays of a freshly built model.
-# Versions 1 and 2 also stored Adam state and are not read.
+# and nothing after the last record. The config JSON holds every TrainConfig
+# field; a key TrainConfig lacks or a value it rejects makes the file a data
+# error. Payloads are written from the arrays' own buffers and read back into
+# the arrays of a freshly built model. Versions 1 and 2 also stored Adam
+# state and are not read.
 # ---------------------------------------------------------------------------
 
 def _write_payload(handle, array: np.ndarray) -> None:
@@ -411,9 +409,13 @@ def _read_checkpoint(reader: _Reader) -> tuple[ActionDetector, int]:
         raise DataFormatError(f"{path}: config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise DataFormatError(f"{path}: config must be a JSON object")
+    try:
+        config = train_config_from_dict(config)
+    except ConfigurationError as exc:
+        raise DataFormatError(f"{path}: bad config: {exc}") from exc
     epoch = reader.u32()
     # every weight is overwritten below: each parameter must have its record
-    model = ActionDetector(train_config_from_dict(config), initialise=False)
+    model = ActionDetector(config, initialise=False)
     for name, param in model.params.items():
         reader.record(name, param.values)
     left = reader.size - reader.offset

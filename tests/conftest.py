@@ -1,39 +1,40 @@
+import json
+
 import numpy as np
 import pytest
 
 from wogma.config import TrainConfig
 from wogma.dataset import CHANNELS
-from wogma.graph import build_spatial_graph
+from wogma.graph import JOINT_COUNT
 from wogma.model import ActionDetector
 
 
 def micro_config(**overrides):
     """Tiny-but-complete model settings for fast structural tests."""
     base = dict(tau=4, stride=4, max_frames=12, hidden=8, feature_dim=8,
-                gcn_channels=4, scales=2, n_c=1, epochs=2, lr=1e-3,
+                gcn_channels=4, scales=2, epochs=2, lr=1e-3,
                 weight_decay=0.0, seed=0, kappa=8)
     base.update(overrides)
     return TrainConfig(**base)
 
 
 def micro_model(**overrides):
-    """Path-graph model: N=3, tau=4, L=3 clips of C=3 channels."""
-    skeleton = build_spatial_graph([(1, 2), (2, 3)], 3)
-    return ActionDetector(micro_config(**overrides), skeleton=skeleton)
+    """Model on the 18-joint skeleton with tau=4, for L=3 clips of C=3 channels."""
+    return ActionDetector(micro_config(**overrides))
 
 
 def micro_clips(seed=0, clip_count=3, model=None):
     model = model or micro_model()
     rng = np.random.default_rng(seed)
     return rng.standard_normal(
-        (clip_count, model.config.tau, model.skeleton.joint_count, CHANNELS))
+        (clip_count, model.config.tau, JOINT_COUNT, CHANNELS))
 
 
 @pytest.fixture
 def small_training_config():
     """18-joint config small enough for seconds-scale training tests."""
     return TrainConfig(tau=20, stride=20, max_frames=120, hidden=16,
-                       feature_dim=16, gcn_channels=8, scales=3, n_c=1,
+                       feature_dim=16, gcn_channels=8, scales=3,
                        epochs=2, lr=1e-3, weight_decay=1e-4, seed=7)
 
 
@@ -52,10 +53,15 @@ def checkpoint_field_ranges(blob: bytes, model: ActionDetector) -> list[tuple[in
 
 def corrupt_saved_checkpoint(blob: bytes, model: ActionDetector, kind: str) -> bytes:
     """`model`'s saved checkpoint `blob` with one field made malformed: the
-    config not UTF-8, not JSON or not a JSON object, or the first values
-    record's name not UTF-8 or not the first parameter's, or its rank one
-    too large."""
+    config not UTF-8, not JSON, not a JSON object, with a value TrainConfig
+    rejects or with a key it lacks, or the first values record's name not
+    UTF-8 or not the first parameter's, or its rank one too large."""
     config_stop = 12 + int.from_bytes(blob[8:12], "little")
+    changes = {"config-bad-value": {"hidden": 0}, "config-unknown-key": {"n_c": 1}}
+    if kind in changes:
+        config = {**json.loads(blob[12:config_stop]), **changes[kind]}
+        encoded = json.dumps(config, sort_keys=True).encode("utf-8")
+        return blob[:8] + len(encoded).to_bytes(4, "little") + encoded + blob[config_stop:]
     if kind == "config-not-object":
         return blob[:8] + (3).to_bytes(4, "little") + b"[1]" + blob[config_stop:]
     name = checkpoint_field_ranges(blob, model)[1][0] + 4

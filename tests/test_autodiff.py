@@ -442,13 +442,12 @@ def test_lstm_timeline_shape_mismatch_names_shapes():
 
 
 def test_online_branch_timeline_is_one_tape_node():
-    branch = OnlineBranch(feature_dim=5, hidden=6, n_classes=2,
-                          rng=np.random.default_rng(35))
+    branch = OnlineBranch(feature_dim=5, hidden=6, rng=np.random.default_rng(35))
     feats = DTensor(np.random.default_rng(36).standard_normal((7, 5)), requires_grad=True)
     with Tape() as tape:
         out = branch.timeline(feats)
     assert len(tape) == 1
-    assert out.values.shape == (7, 3)
+    assert out.values.shape == (7, 2)
 
 
 def test_softmax_cross_entropy_composite_gradient():

@@ -20,7 +20,7 @@ from wogma.trainer import save_checkpoint
 
 FAST_CONFIG = {
     "tau": 20, "stride": 20, "max_frames": 120, "hidden": 8, "feature_dim": 8,
-    "gcn_channels": 4, "scales": 2, "n_c": 1, "epochs": 2, "lr": 1e-3,
+    "gcn_channels": 4, "scales": 2, "epochs": 2, "lr": 1e-3,
     "weight_decay": 0.0, "seed": 3,
 }
 
@@ -175,6 +175,8 @@ def test_missing_checkpoint_exits_two(tmp_path, monkeypatch, capsys, command):
 @pytest.mark.parametrize("kind, message", [
     ("config-not-utf8", "config is not UTF-8"),
     ("config-not-json", "config is not valid JSON"),
+    ("config-bad-value", "bad config: hidden must be >= 1, got 0"),
+    ("config-unknown-key", "bad config: unknown config keys: ['n_c']"),
     ("name-not-utf8", "record name is not UTF-8"),
 ])
 def test_detect_malformed_checkpoint_exits_two(tmp_path, monkeypatch, capsys, kind, message):
@@ -372,7 +374,7 @@ def test_detect_stdin_streams_clip_by_clip(tmp_path):
             record = json.loads(line)
             assert record["clip"] == i
             assert record["start_frame"] == (i - 1) * 20 + 1
-            assert len(record["probs"]) == config.n_c + 1
+            assert len(record["probs"]) == 2
         proc.stdin.close()
         assert proc.wait(timeout=30) == 0
     finally:
@@ -395,31 +397,17 @@ def test_eval_fractions_flag_validation(tmp_path, capsys):
 
 
 def test_eval_label_count_mismatch_exits_two(tmp_path, capsys):
+    # a video has one label: a list of them, one per class, is a data error
     checkpoint = tmp_path / "ck.bin"
-    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**{**FAST_CONFIG, "n_c": 2})),
-                    epoch=0)
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
     data = tmp_path / "d.jsonl"
-    seqs = write_dataset(data)
+    write_dataset(data, n_videos=2)
+    first, second = data.read_text().splitlines()
+    data.write_text(f"{first}\n{json.dumps({**json.loads(second), 'label': [1, 0]})}\n")
     assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
                     "--out-dir", tmp_path / "out"]) == 2
-    err = capsys.readouterr().err
-    assert f"data error: {seqs[0].video_id}: 1 labels for 2 classes" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_eval_more_than_one_class_exits_one(tmp_path, capsys):
-    checkpoint = tmp_path / "ck.bin"
-    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**{**FAST_CONFIG, "n_c": 2})),
-                    epoch=0)
-    seqs = synthesize(SynthParams(n_videos=2, frames=120, seed=2,
-                                  segment_len_min=40, segment_len_max=60))
-    for seq in seqs:
-        seq.labels = [seq.labels[0], 0]
-    data = tmp_path / "d.jsonl"
-    save_sequences(data, seqs)
-    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
-                    "--out-dir", tmp_path / "out"]) == 1
-    assert "error: eval scores one action class; the model has n_c = 2" in capsys.readouterr().err
+    assert (f"data error: {data}:2: label must be 0 or 1, got [1, 0]"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

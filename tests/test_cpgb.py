@@ -11,10 +11,9 @@ from wogma.autodiff import DTensor, Tape
 from grad_oracle import grad_check
 
 
-def make_branch(feature_dim=6, n_classes=1, ablate=False, seed=0):
-    return cpgb.PseudoLabelBranch(feature_dim=feature_dim, n_classes=n_classes,
-                                  conv_layers=2, conv_kernel=3, ablate_longrange=ablate,
-                                  rng=np.random.default_rng(seed))
+def make_branch(feature_dim=6, ablate=False, seed=0):
+    return cpgb.PseudoLabelBranch(feature_dim=feature_dim, conv_layers=2, conv_kernel=3,
+                                  ablate_longrange=ablate, rng=np.random.default_rng(seed))
 
 
 def test_temporal_stack_ablated_is_bitwise_identity():
@@ -85,42 +84,41 @@ def test_top_k_count_formula(clip_count, kappa):
 
 def test_topk_video_score_example():
     scores = DTensor(np.array([[0.9], [0.1], [0.5], [0.7]]))
-    video = cpgb.topk_pool(scores, kappa=2, first_col=0)
-    picked = cpgb.top_k_indices(scores.values, kappa=2)
+    video = cpgb.topk_pool(scores, kappa=2, col=0)
+    picked = cpgb.top_k_indices(scores.values[:, 0], kappa=2)
     assert video.values[0] == pytest.approx(0.8)
-    np.testing.assert_array_equal(picked[0], [0, 3])
+    np.testing.assert_array_equal(picked, [0, 3])
 
 
 def test_topk_clamps_to_max_score():
     scores = DTensor(np.array([[0.2], [0.9], [0.4], [0.1], [0.6]]))
-    video = cpgb.topk_pool(scores, kappa=8, first_col=0)
-    picked = cpgb.top_k_indices(scores.values, kappa=8)
+    video = cpgb.topk_pool(scores, kappa=8, col=0)
+    picked = cpgb.top_k_indices(scores.values[:, 0], kappa=8)
     assert video.values[0] == pytest.approx(0.9)
-    np.testing.assert_array_equal(picked[0], [1])
+    np.testing.assert_array_equal(picked, [1])
 
 
 def test_topk_tie_break_prefers_lower_index():
-    scores = DTensor(np.array([[0.5], [0.5], [0.5]]))
-    picked = cpgb.top_k_indices(scores.values, kappa=2)
-    np.testing.assert_array_equal(picked[0], [0])
+    picked = cpgb.top_k_indices(np.array([0.5, 0.5, 0.5]), kappa=2)
+    np.testing.assert_array_equal(picked, [0])
 
 
 def test_topk_shift_invariance():
     rng = np.random.default_rng(6)
     scores = rng.standard_normal((12, 2))
-    video_a = cpgb.topk_pool(DTensor(scores), kappa=3, first_col=0)
-    video_b = cpgb.topk_pool(DTensor(scores + 5.0), kappa=3, first_col=0)
-    picked_a = cpgb.top_k_indices(scores, kappa=3)
-    picked_b = cpgb.top_k_indices(scores + 5.0, kappa=3)
-    for a, b in zip(picked_a, picked_b):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(video_b.values - video_a.values, 5.0)
+    for col in (0, 1):
+        video_a = cpgb.topk_pool(DTensor(scores), kappa=3, col=col)
+        video_b = cpgb.topk_pool(DTensor(scores + 5.0), kappa=3, col=col)
+        picked_a = cpgb.top_k_indices(scores[:, col], kappa=3)
+        picked_b = cpgb.top_k_indices(scores[:, col] + 5.0, kappa=3)
+        np.testing.assert_array_equal(picked_a, picked_b)
+        np.testing.assert_allclose(video_b.values - video_a.values, 5.0)
 
 
 def test_topk_gradient_reaches_only_selected_clips():
     scores = DTensor(np.array([[0.9], [0.1], [0.5], [0.7]]), requires_grad=True)
     with Tape() as tape:
-        video = cpgb.topk_pool(scores, kappa=2, first_col=0)
+        video = cpgb.topk_pool(scores, kappa=2, col=0)
         loss = ad.reduce_sum(video)
     tape.backward(loss)
     expected = np.zeros((4, 1))
@@ -129,33 +127,29 @@ def test_topk_gradient_reaches_only_selected_clips():
 
 
 @settings(max_examples=200, deadline=None)
-@given(count=st.integers(1, 40), n_cols=st.integers(1, 3), kappa=st.integers(1, 10),
-       first_col=st.integers(0, 1), seed=st.integers(0, 2**32 - 1),
-       ties=st.booleans())
-def test_topk_pool_matches_brute_force(count, n_cols, kappa, first_col, seed, ties):
-    # oracle: mean of the K largest values of each pooled column, where
+@given(count=st.integers(1, 40), kappa=st.integers(1, 10), col=st.integers(0, 1),
+       seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+def test_topk_pool_matches_brute_force(count, kappa, col, seed, ties):
+    # oracle: mean of the K largest values of the pooled column, where
     # K = max(1, L // kappa); the gradient of the sum is 1/K on the picked
     # entries (lower index on ties) and zero everywhere else
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((count, first_col + n_cols))
+    x = rng.standard_normal((count, 2))
     if ties:
         x = np.round(x)          # many equal values, so the tie rule decides
     k = max(1, count // kappa)
-    expected_mean = np.empty(n_cols)
+    ranked = sorted(range(count), key=lambda i: (-x[i, col], i))[:k]
+    expected_mean = sum(x[i, col] for i in ranked) / k
     expected_grad = np.zeros_like(x)
-    for c in range(n_cols):
-        col = x[:, first_col + c]
-        ranked = sorted(range(count), key=lambda i: (-col[i], i))[:k]
-        expected_mean[c] = sum(col[i] for i in ranked) / k
-        expected_grad[ranked, first_col + c] = 1.0 / k
+    expected_grad[ranked, col] = 1.0 / k
 
     tensor = DTensor(x, requires_grad=True)
     with Tape() as tape:
-        pooled = cpgb.topk_pool(tensor, kappa, first_col)
+        pooled = cpgb.topk_pool(tensor, kappa, col)
         loss = ad.reduce_sum(pooled)
     tape.backward(loss)
-    assert pooled.values.shape == (n_cols,)
-    np.testing.assert_allclose(pooled.values, expected_mean, rtol=0, atol=1e-12)
+    assert pooled.values.shape == (1,)
+    np.testing.assert_allclose(pooled.values, [expected_mean], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(tensor.grad, expected_grad)
 
 
@@ -175,10 +169,10 @@ def test_mil_loss_hand_values():
 
 def test_mil_loss_gradient():
     rng = np.random.default_rng(7)
-    scores = rng.standard_normal((6, 2))
+    scores = rng.standard_normal((6, 1))
 
     def fn(s):
-        loss, _ = cpgb.mil_loss(s, np.array([1, 0]), kappa=3)
+        loss, _ = cpgb.mil_loss(s, np.array([1]), kappa=3)
         return loss
 
     assert grad_check(fn, [scores], h=1e-6) < 1e-6
@@ -216,10 +210,3 @@ def test_pseudo_labels_theta_score_monotonicity():
             out = cpgb.generate_pseudo_labels(probs, video, 0.4, theta, labels)
             counts.append(int((out > 0).sum()))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-def test_pseudo_labels_multiclass_tie_highest_prob():
-    probs = np.array([[0.6, 0.8], [0.9, 0.2]])
-    out = cpgb.generate_pseudo_labels(probs, np.array([0.9, 0.9]), 0.4, 0.3,
-                                      np.array([1, 1]))
-    np.testing.assert_array_equal(out, [2, 1])

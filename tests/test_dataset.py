@@ -82,10 +82,12 @@ def test_line_numbers_count_every_line_break(tmp_path):
         ds.load_sequences(path)
 
 
-@pytest.mark.parametrize("label", [0.7, 1.9, 1.0, 2, -1, True, [True], [0, 2], "1", None],
-                         ids=["0.7", "1.9", "1.0", "2", "-1", "true", "[true]", "[0,2]",
-                              "string", "null"])
+@pytest.mark.parametrize("label", [0.7, 1.9, 1.0, 2, -1, True, [True], [0, 2], [0, 1], [1],
+                                   "1", None],
+                         ids=["0.7", "1.9", "1.0", "2", "-1", "true", "[true]", "[0,2]", "[0,1]",
+                              "[1]", "string", "null"])
 def test_label_other_than_zero_or_one_rejected_naming_line(tmp_path, label):
+    # a video has one label, the integer 0 or 1
     path = tmp_path / "d.jsonl"
     ds.save_sequences(path, [tiny_sequence(), tiny_sequence()])
     first, second = path.read_text().splitlines()
@@ -107,13 +109,14 @@ def test_label_other_than_zero_or_one_rejected_naming_line(tmp_path, label):
     ("gt_segments", [[4, 3, 1]], r"needs 1 <= start <= end <= 5 frames"),
     ("gt_segments", [[1, 6, 1]], r"needs 1 <= start <= end <= 5 frames"),
     ("gt_segments", [[1, 3, 0]], "has class 0, classes start at 1"),
+    ("gt_segments", [[1, 3, 2]], "has class 2, classes start at 1 and 1 is the only one"),
     ("fps", "nan", "fps must be finite and above 0"),
     ("fps", "inf", "fps must be finite and above 0"),
     ("fps", 0, "fps must be finite and above 0"),
     ("fps", -20.0, "fps must be finite and above 0"),
 ], ids=["floats", "float-start", "bool", "one-value", "four-values", "flat", "string",
         "start-negative", "start-zero", "start-after-end", "end-past-last-frame", "class-zero",
-        "fps-nan", "fps-inf", "fps-zero", "fps-negative"])
+        "class-two", "fps-nan", "fps-inf", "fps-zero", "fps-negative"])
 def test_bad_segments_or_fps_rejected_naming_line(tmp_path, key, value, message):
     path = tmp_path / "d.jsonl"
     ds.save_sequences(path, [tiny_sequence(), tiny_sequence()])
@@ -125,18 +128,10 @@ def test_bad_segments_or_fps_rejected_naming_line(tmp_path, key, value, message)
 
 def test_segments_spanning_first_to_last_frame_load(tmp_path):
     seq = tiny_sequence()
-    seq.gt_segments = [(1, 5, 1), (3, 3, 2)]
+    seq.gt_segments = [(1, 5, 1), (3, 3, 1)]
     path = tmp_path / "d.jsonl"
     ds.save_sequences(path, [seq])
-    assert ds.load_sequences(path)[0].gt_segments == [(1, 5, 1), (3, 3, 2)]
-
-
-def test_label_list_of_zeros_and_ones_loads(tmp_path):
-    seq = tiny_sequence()
-    seq.labels = [0, 1]
-    path = tmp_path / "d.jsonl"
-    ds.save_sequences(path, [seq])
-    assert ds.load_sequences(path)[0].labels == [0, 1]
+    assert ds.load_sequences(path)[0].gt_segments == [(1, 5, 1), (3, 3, 1)]
 
 
 def test_confidence_out_of_range_rejected(tmp_path):
@@ -351,12 +346,12 @@ def skeleton_frames(draw, max_length=4):
 def skeleton_sequences(draw):
     frames = draw(skeleton_frames())
     length = frames.shape[0]
-    segment = st.tuples(st.integers(1, length), st.integers(1, length),
-                        st.integers(1, 2**40)).map(lambda s: (min(s[:2]), max(s[:2]), s[2]))
+    segment = st.tuples(st.integers(1, length), st.integers(1, length)).map(
+        lambda s: (min(s), max(s), 1))
     return ds.SkeletonSequence(
         video_id=draw(st.text(max_size=8)),
         fps=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
-        labels=draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=3)),
+        labels=[draw(st.sampled_from([0, 1]))],
         frames=frames,
         gt_segments=draw(st.none() | st.lists(segment, max_size=3)))
 

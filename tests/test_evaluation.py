@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wogma import evaluation as ev
 from wogma.evaluation import ScoredSegment
@@ -43,7 +45,7 @@ def brute_force_ap(predictions, gt, threshold):
     for pred in ranked:
         best_iou, best_idx = 0.0, None
         for idx, seg in enumerate(gt):
-            if idx in used or seg.video_id != pred.video_id or seg.label != pred.label:
+            if idx in used or seg.video_id != pred.video_id:
                 continue
             iou = set_iou((pred.start, pred.end), (seg.start, seg.end))
             if iou > best_iou:
@@ -134,6 +136,33 @@ def test_iou_invalid_interval():
         ev.temporal_iou((5, 3), (1, 2))
 
 
+# Frames on a coarse grid as often as anywhere: equal intervals, intervals
+# that share an edge, and a prediction with the same IoU against two
+# ground-truth segments all come up often.
+FRAME = st.sampled_from([1, 6, 11, 16, 21]) | st.integers(1, 40)
+LENGTH = st.sampled_from([0, 4, 9]) | st.integers(0, 20)
+
+
+@st.composite
+def intervals(draw):
+    start = draw(FRAME)
+    return start, start + draw(LENGTH)
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), intervals())
+def test_iou_equals_frame_set_iou(a, b):
+    assert ev.temporal_iou(a, b) == set_iou(a, b) == ev.temporal_iou(b, a)
+
+
+@st.composite
+def segments(draw, scored):
+    start, end = draw(intervals())
+    # scores on a coarse grid tie often
+    score = draw(st.sampled_from([0.2, 0.5, 0.8]) | st.floats(0.0, 1.0)) if scored else 0.0
+    return ScoredSegment(draw(st.sampled_from(["a", "b", "c"])), start, end, score)
+
+
 # ---------------------------------------------------------------------------
 # Average precision
 # ---------------------------------------------------------------------------
@@ -173,8 +202,8 @@ def test_ap_invariant_under_monotone_score_transform():
     for _ in range(20):
         preds, gts = random_detection_case(rng)
         base = [ev.average_precision(preds, gts, t) for t in ev.IOU_THRESHOLDS]
-        boosted = [ScoredSegment(p.video_id, p.start, p.end, score=p.score * 10 + 3,
-                                 label=p.label) for p in preds]
+        boosted = [ScoredSegment(p.video_id, p.start, p.end, score=p.score * 10 + 3)
+                   for p in preds]
         after = [ev.average_precision(boosted, gts, t) for t in ev.IOU_THRESHOLDS]
         assert base == after
 
@@ -194,15 +223,17 @@ def random_detection_case(rng):
     return preds, gts
 
 
-def test_ap_equals_brute_force_oracle_on_200_cases():
-    rng = np.random.default_rng(4)
-    checked = 0
-    for _ in range(200):
-        preds, gts = random_detection_case(rng)
-        for thr in ev.IOU_THRESHOLDS:
-            assert ev.average_precision(preds, gts, thr) == brute_force_ap(preds, gts, thr)
-        checked += 1
-    assert checked == 200
+@settings(max_examples=200, deadline=None)
+@given(st.lists(segments(scored=True), max_size=8), st.lists(segments(scored=False), max_size=5))
+# the first prediction's IoU is 1/3 with either segment: matching the lower
+# index leaves the second prediction unmatched, the higher would match it
+@example([ScoredSegment("a", 6, 15, 0.8), ScoredSegment("a", 1, 5, 0.5)],
+         [ScoredSegment("a", 1, 10), ScoredSegment("a", 11, 20)])
+def test_ap_equals_brute_force_oracle_on_200_cases(preds, gts):
+    # empty prediction and ground-truth lists, several videos, equal scores
+    # and equal IoUs are all drawn
+    for thr in ev.IOU_THRESHOLDS:
+        assert ev.average_precision(preds, gts, thr) == brute_force_ap(preds, gts, thr)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +288,7 @@ def test_evaluate_end_to_end_micro_model():
     from wogma.config import TrainConfig
     from wogma.model import ActionDetector
     config = TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
-                         feature_dim=8, gcn_channels=4, scales=2, n_c=1, seed=0)
+                         feature_dim=8, gcn_channels=4, scales=2, seed=0)
     model = ActionDetector(config)
     data = synthesize(SynthParams(n_videos=6, frames=120, seed=2,
                                   segment_len_min=40, segment_len_max=60))
@@ -272,21 +303,6 @@ def test_evaluate_end_to_end_micro_model():
                            "instance_count", "early_curve"}
 
 
-def test_evaluate_rejects_segment_class_above_n_c():
-    from wogma.dataset import SynthParams, synthesize
-    from wogma.config import TrainConfig
-    from wogma.errors import DataFormatError
-    from wogma.model import ActionDetector
-    model = ActionDetector(TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
-                                       feature_dim=8, gcn_channels=4, scales=2, n_c=1))
-    data = synthesize(SynthParams(n_videos=2, frames=120, seed=2,
-                                  segment_len_min=40, segment_len_max=60))
-    data[1].gt_segments = [(1, 40, 1), (50, 90, 7)]
-    with pytest.raises(DataFormatError, match=f"^{data[1].video_id}: segment \\(50, 90\\) "
-                                              "has class 7, above the model's n_c = 1$"):
-        ev.evaluate(model, data, [1.0], 0.5)
-
-
 @pytest.mark.parametrize("late_video, map_at_01", [(False, 1.0), (True, 0.5)],
                          ids=["one-video", "with-a-video-annotated-past-max-frames"])
 def test_evaluate_scores_the_ground_truth_the_model_sees(monkeypatch, late_video, map_at_01):
@@ -298,7 +314,7 @@ def test_evaluate_scores_the_ground_truth_the_model_sees(monkeypatch, late_video
     from wogma.dataset import SynthParams, synthesize
     from wogma.model import ActionDetector
     model = ActionDetector(TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
-                                       feature_dim=8, gcn_channels=4, scales=2, n_c=1))
+                                       feature_dim=8, gcn_channels=4, scales=2))
     data = synthesize(SynthParams(n_videos=2, frames=200, seed=2, positive_fraction=1.0,
                                   segment_len_min=40, segment_len_max=60))
     data[0].gt_segments = [(30, 60, 1), (150, 180, 1)]

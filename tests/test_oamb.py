@@ -13,9 +13,9 @@ from grad_oracle import grad_check
 from tape_oracle import softmax
 
 
-def make_branch(feature_dim=5, hidden=8, n_classes=1, seed=0):
+def make_branch(feature_dim=5, hidden=8, seed=0):
     return oamb.OnlineBranch(feature_dim=feature_dim, hidden=hidden,
-                             n_classes=n_classes, rng=np.random.default_rng(seed))
+                             rng=np.random.default_rng(seed))
 
 
 def test_zero_recurrent_weights_constant_distribution():
@@ -56,15 +56,15 @@ def test_training_path_matches_streaming_bitwise():
 
 @settings(max_examples=40, deadline=None)
 @given(count=st.integers(1, 12), hidden=st.integers(1, 40), feature_dim=st.integers(1, 16),
-       n_classes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_taped_timeline_equals_stream_bitwise(count, hidden, feature_dim, n_classes, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_taped_timeline_equals_stream_bitwise(count, hidden, feature_dim, seed):
     # guards the per-row forward: a batched one differs from x @ W in the last bits
-    branch = make_branch(feature_dim=feature_dim, hidden=hidden, n_classes=n_classes, seed=seed)
+    branch = make_branch(feature_dim=feature_dim, hidden=hidden, seed=seed)
     feats = np.random.default_rng(seed).standard_normal((count, feature_dim))
     with ad.Tape():
         trained = branch.timeline(DTensor(feats, requires_grad=True)).values
     streamed = branch.stream(feats)
-    assert trained.shape == streamed.shape == (count, n_classes + 1)
+    assert trained.shape == streamed.shape == (count, 2)
     assert trained.tobytes() == streamed.tobytes()
 
 
@@ -232,27 +232,26 @@ probability = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), count=st.integers(0, 30), classes=st.integers(1, 3),
-       threshold=probability, tau=st.integers(1, 25), stride=st.integers(1, 25))
-def test_extract_instances_equals_brute_force_runs(data, count, classes, threshold,
-                                                    tau, stride):
-    timeline = np.array(data.draw(st.lists(st.lists(probability, min_size=classes + 1,
-                                                     max_size=classes + 1),
-                                            min_size=count, max_size=count)),
-                        dtype=float).reshape(count, classes + 1)
+@given(data=st.data(), count=st.integers(0, 30), threshold=probability,
+       tau=st.integers(1, 25), stride=st.integers(1, 25))
+def test_extract_instances_equals_brute_force_runs(data, count, threshold, tau, stride):
+    # the background column is drawn apart from the action column, so an
+    # instance that read it would show
+    timeline = np.array(data.draw(st.lists(st.lists(probability, min_size=2, max_size=2),
+                                           min_size=count, max_size=count)),
+                        dtype=float).reshape(count, 2)
     instances = oamb.extract_instances(timeline, threshold, ClipWindowing(tau, stride))
+    column = timeline[:, 1].tolist()
     expected = {}
-    for label in range(1, classes + 1):
-        column = timeline[:, label].tolist()
-        for first, last in brute_force_runs(column, threshold):
-            span = (first * stride + 1, last * stride + tau, label)
-            expected[span] = math.fsum(column[first:last + 1]) / (last - first + 1)
-    got = {(i.start_frame, i.end_frame, i.label): i.score for i in instances}
+    for first, last in brute_force_runs(column, threshold):
+        span = (first * stride + 1, last * stride + tau)
+        expected[span] = math.fsum(column[first:last + 1]) / (last - first + 1)
+    got = {(i.start_frame, i.end_frame): i.score for i in instances}
     assert len(got) == len(instances)
     assert got.keys() == expected.keys()
     for span, score in got.items():
         assert score == pytest.approx(expected[span], rel=1e-12, abs=1e-15)
-    keys = [(-i.score, i.start_frame, i.label) for i in instances]
+    keys = [(-i.score, i.start_frame) for i in instances]
     assert keys == sorted(keys)
 
 

@@ -177,7 +177,7 @@ def test_train_loss_decreases(small_training_config):
 
 def test_single_video_overfits():
     config = TrainConfig(tau=20, stride=20, max_frames=60, hidden=16,
-                         feature_dim=16, gcn_channels=8, scales=3, n_c=1,
+                         feature_dim=16, gcn_channels=8, scales=3,
                          epochs=200, lr=1e-2, weight_decay=0.0, seed=1)
     video = small_dataset(n_videos=2, frames=60, seed=5)[:1]
     _, metrics = tr.train(video, config)
@@ -474,7 +474,7 @@ def test_checkpoint_any_byte_overwrite_loads_or_raises_a_documented_error(
     path.write_bytes(bytes(corrupted))
     try:
         tr.load_checkpoint(path)
-    except (DataFormatError, ConfigurationError):
+    except DataFormatError:
         pass
 
 
@@ -488,6 +488,8 @@ def test_checkpoint_missing_file_errors(tmp_path):
     ("config-not-utf8", "config is not UTF-8"),
     ("config-not-json", "config is not valid JSON"),
     ("config-not-object", "config must be a JSON object"),
+    ("config-bad-value", re.escape("bad config: hidden must be >= 1, got 0")),
+    ("config-unknown-key", re.escape("bad config: unknown config keys: ['n_c']")),
     ("name-not-utf8", "record name is not UTF-8"),
     ("name-mismatch", "parameter names do not match the config"),
     ("values-shape", r"shape mismatch for 'lfem\.[^']*'"),
