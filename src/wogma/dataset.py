@@ -61,6 +61,11 @@ class SkeletonSequence:
     frames: np.ndarray                                 # (T, N, 3) float64
     gt_segments: list[tuple[int, int, int]] | None = None  # (start, end, class), 1-indexed
 
+    def __post_init__(self):
+        if len(self.labels) != 1 or self.labels[0] not in (0, 1):
+            raise DataFormatError(
+                f"video {self.video_id!r}: labels must be [0] or [1], got {self.labels!r}")
+
     @property
     def length(self) -> int:
         return self.frames.shape[0]
@@ -139,8 +144,8 @@ def _segment_list(raw, frame_count: int, where: str) -> list[tuple[int, int, int
             raise DataFormatError(
                 f"{where}: segment {seg} needs 1 <= start <= end <= {frame_count} frames")
         if seg[2] != 1:
-            raise DataFormatError(f"{where}: segment {seg} has class {seg[2]}, "
-                                  "classes start at 1 and 1 is the only one")
+            raise DataFormatError(f"{where}: segment {seg} has class {seg[2]}; "
+                                  "the only class is 1")
     return [tuple(seg) for seg in raw]
 
 

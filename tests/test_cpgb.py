@@ -168,14 +168,15 @@ def test_mil_loss_hand_values():
 
 
 def test_mil_loss_gradient():
+    # both BCE branches: -log p for a positive video, -log(1 - p) for a negative one
     rng = np.random.default_rng(7)
     scores = rng.standard_normal((6, 1))
+    for label in (1, 0):
+        def fn(s):
+            loss, _ = cpgb.mil_loss(s, np.array([label]), kappa=3)
+            return loss
 
-    def fn(s):
-        loss, _ = cpgb.mil_loss(s, np.array([1]), kappa=3)
-        return loss
-
-    assert grad_check(fn, [scores], h=1e-6) < 1e-6
+        assert grad_check(fn, [scores], h=1e-6) < 1e-6, f"label {label}"
 
 
 def test_pseudo_labels_video_below_class_threshold():

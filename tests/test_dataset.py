@@ -96,6 +96,15 @@ def test_label_other_than_zero_or_one_rejected_naming_line(tmp_path, label):
         ds.load_sequences(path)
 
 
+@pytest.mark.parametrize("labels", [[1, 1], [0, 1], [], [2]])
+def test_sequence_built_in_code_needs_one_zero_or_one_label(labels):
+    # the loss, pseudo labels and evaluation read labels[0]; extra labels must not pass
+    seq = tiny_sequence()
+    with pytest.raises(DataFormatError, match=r"video 'v0': labels must be \[0\] or \[1\]"):
+        ds.SkeletonSequence(video_id=seq.video_id, fps=seq.fps, labels=labels,
+                            frames=seq.frames)
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("gt_segments", [[1.9, 5.7, 2.5]], "segment must be a list of three integers"),
     ("gt_segments", [[2.0, 3, 1]], "segment must be a list of three integers"),
@@ -108,8 +117,8 @@ def test_label_other_than_zero_or_one_rejected_naming_line(tmp_path, label):
     ("gt_segments", [[0, 3, 1]], r"needs 1 <= start <= end <= 5 frames"),
     ("gt_segments", [[4, 3, 1]], r"needs 1 <= start <= end <= 5 frames"),
     ("gt_segments", [[1, 6, 1]], r"needs 1 <= start <= end <= 5 frames"),
-    ("gt_segments", [[1, 3, 0]], "has class 0, classes start at 1"),
-    ("gt_segments", [[1, 3, 2]], "has class 2, classes start at 1 and 1 is the only one"),
+    ("gt_segments", [[1, 3, 0]], "has class 0; the only class is 1"),
+    ("gt_segments", [[1, 3, 2]], "has class 2; the only class is 1"),
     ("fps", "nan", "fps must be finite and above 0"),
     ("fps", "inf", "fps must be finite and above 0"),
     ("fps", 0, "fps must be finite and above 0"),
