@@ -57,14 +57,9 @@ class DTensor:
         return self.grad
 
     def zero_grad(self) -> None:
-        """Clear the gradient. A buffer that is a view, as into the trainer's
-        ParameterArena, is zeroed in place and stays bound, so the next
-        backward pass allocates nothing; a buffer the tensor owns is dropped,
-        which frees its memory between passes outside training."""
-        if self.grad is not None and self.grad.base is not None:
-            self.grad.fill(0.0)
-        else:
-            self.grad = None
+        """Drop the gradient, which frees its memory; the next backward pass
+        starts it from zero."""
+        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DTensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -323,22 +318,6 @@ def add(a, b) -> DTensor:
             a.ensure_grad()[...] += g
         if b.requires_grad:
             b.ensure_grad()[...] += g
-
-    _record(out, pull)
-    return out
-
-
-def mul(a, b) -> DTensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"mul: shapes {a.values.shape} and {b.values.shape} differ")
-    out = DTensor(a.values * b.values, requires_grad=_needs(a, b))
-
-    def pull(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.ensure_grad()[...] += g * b.values
-        if b.requires_grad:
-            b.ensure_grad()[...] += g * a.values
 
     _record(out, pull)
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,7 +94,6 @@ def build_parser() -> _Parser:
     tr.add_argument("--lr", type=float, default=None)
     tr.add_argument("--hidden", type=int, default=None)
     tr.add_argument("--max-frames", type=int, default=None)
-    tr.add_argument("--batch-size", type=int, default=None)
     tr.add_argument("--ablate-pseudo", action="store_true", default=None)
     tr.add_argument("--ablate-local", action="store_true", default=None)
     tr.add_argument("--ablate-longrange", action="store_true", default=None)
@@ -276,8 +276,12 @@ def _parsed(path, parse):
 
 
 def _read_early_curve(path) -> list[tuple[float, float]]:
+    """The report's early-curve points whose AUC is defined: a null (or, in
+    an older report, nan) AUC is left out."""
     report = json.loads(Path(path).read_text())
-    return [(float(f), float(a)) for f, a in report.get("early_curve", [])]
+    curve = [(float(f), math.nan if a is None else float(a))
+             for f, a in report.get("early_curve", [])]
+    return [(f, a) for f, a in curve if math.isfinite(a)]
 
 
 def _read_instance_spans(path) -> dict:
@@ -298,6 +302,12 @@ def _read_timelines_csv(path):
     return rows
 
 
+def _file_name_part(video_id: str) -> str:
+    """`video_id` as part of one file name: '%', '/' and NUL are written
+    %25, %2F and %00, and every other character stays as it is."""
+    return video_id.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
+
+
 def cmd_plot(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,7 +324,8 @@ def cmd_plot(args) -> int:
                 print(f"wrote {out_dir / 'auc_vs_fraction.svg'}")
                 wrote_any = True
             else:
-                print("warning: report has no early_curve, skipping", file=sys.stderr)
+                print("warning: report has no early-curve point with a defined AUC, "
+                      "skipping", file=sys.stderr)
 
     if args.timelines is not None:
         if not Path(args.timelines).exists():
@@ -336,7 +347,7 @@ def cmd_plot(args) -> int:
                 svg = plots.timeline_svg(video_id, probs, spans,
                                          gt_by_video.get(video_id),
                                          instances_by_video.get(video_id))
-                target = out_dir / f"timeline_{video_id}.svg"
+                target = out_dir / f"timeline_{_file_name_part(video_id)}.svg"
                 target.write_text(svg)
                 print(f"wrote {target}")
                 wrote_any = True

@@ -60,7 +60,6 @@ class TrainConfig:
     max_frames: int = 6000
     hidden: int = 1024
     seed: int = 0
-    batch_size: int = 1
     ablate_pseudo: bool = False
     ablate_local: bool = False
     ablate_longrange: bool = False
@@ -78,8 +77,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
-        for name in ("tau", "stride", "kappa", "epochs", "max_frames", "hidden", "batch_size",
-                     "gcn_channels", "gcn_layers", "feature_dim", "conv_layers"):
+        for name in ("tau", "stride", "kappa", "epochs", "max_frames", "hidden", "gcn_channels",
+                     "gcn_layers", "feature_dim", "conv_layers"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")

@@ -72,17 +72,18 @@ def topk_pool(x: DTensor, kappa: int, col: int) -> DTensor:
 
 
 def binary_cross_entropy(probs: DTensor, labels: np.ndarray) -> DTensor:
-    """-[y log p + (1 - y) log(1 - p)], summed over entries, with clamped probs.
+    """-log p for a positive video, -log(1 - p) for a negative one, from the
+    (1,) video probability and the video's one 0/1 label, as a () tensor;
+    the probability is clamped at PROB_EPS before the log.
 
     The plain MIL objective only scores positive videos; the binary form
-    extends it so negative videos still push their probability down.
+    extends it so negative videos still push their probability down. The
+    values and gradients are bitwise those of the two-term form
+    -[y log p + (1 - y) log(1 - p)] (tests/tape_oracle.py).
     """
-    y = np.asarray(labels, dtype=np.float64)
-    log_p = ad.log(ad.clip_min(probs, PROB_EPS))
-    log_not_p = ad.log(ad.clip_min(ad.add_const(ad.scale(probs, -1.0), 1.0), PROB_EPS))
-    pos = ad.mul(DTensor(y), log_p)
-    neg = ad.mul(DTensor(1.0 - y), log_not_p)
-    return ad.scale(ad.reduce_sum(ad.add(pos, neg)), -1.0)
+    if labels[0] == 0:
+        probs = ad.add_const(ad.scale(probs, -1.0), 1.0)
+    return ad.scale(ad.reduce_sum(ad.log(ad.clip_min(probs, PROB_EPS))), -1.0)
 
 
 def mil_loss(scores: DTensor, labels: np.ndarray, kappa: int) -> tuple[DTensor, np.ndarray]:

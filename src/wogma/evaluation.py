@@ -151,15 +151,20 @@ class EvalReport:
     early_curve: list[tuple[float, float]] = field(default_factory=list)
 
     def to_json(self) -> str:
+        """The report as strict JSON: an AUC that one class leaves undefined
+        (nan) is null."""
+        def auc(value: float) -> float | None:
+            return None if math.isnan(value) else value
+
         return json.dumps({
             "accuracy": self.accuracy,
             "f1": self.f1,
-            "auc": self.auc,
+            "auc": auc(self.auc),
             "map_at": {f"{k:.1f}": v for k, v in sorted(self.map_at.items())},
             "mean_map": self.mean_map,
             "instance_count": self.instance_count,
-            "early_curve": [[f, a] for f, a in self.early_curve],
-        }, indent=2, sort_keys=True)
+            "early_curve": [[f, auc(a)] for f, a in self.early_curve],
+        }, indent=2, sort_keys=True, allow_nan=False)
 
 
 def score_videos(model: ActionDetector, dataset: list[SkeletonSequence],

@@ -52,9 +52,6 @@ class ActionDetector:
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def parameter_count(self) -> int:
-        return sum(p.values.size for p in self.parameters())
-
     # -- data plumbing -------------------------------------------------------
 
     def prepare_clips(self, seq: SkeletonSequence) -> np.ndarray:

@@ -10,6 +10,7 @@ bitwise identical by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter
 from .cpgb import PROB_EPS, binary_cross_entropy, topk_pool
+from .errors import NumericalError
 from .lfem import ClipWindowing
 
 
@@ -63,13 +65,20 @@ class OnlineBranch:
         """Advance one clip; returns the new state and the (2,) softmax row.
 
         Runs ad.lstm_step_values, the training timeline's step kernel and head,
-        so streaming rows equal `timeline` rows bitwise by construction.
+        so streaming rows equal `timeline` rows bitwise by construction. A
+        non-finite row, as from a non-finite weight, raises NumericalError
+        naming the clip, so no inference path reports it as a score.
         """
         p = self.params
         _, _, _, _, c, _, h, probs = ad.lstm_step_values(
             feature, state.h, state.c, p["oamb.w_ih"].values, p["oamb.w_hh"].values,
             p["oamb.b"].values, p["oamb.w_a"].values, p["oamb.b_a"].values)
-        return OnlineState(h=h, c=c, clips_seen=state.clips_seen + 1), probs
+        clips_seen = state.clips_seen + 1
+        # the two probabilities sum to about 1 unless one is nan or inf; one
+        # scalar test costs less than np.isfinite on a (2,) array
+        if not math.isfinite(probs[0] + probs[1]):
+            raise NumericalError(f"clip {clips_seen}: non-finite probabilities {probs.tolist()}")
+        return OnlineState(h=h, c=c, clips_seen=clips_seen), probs
 
     def stream(self, features: np.ndarray) -> np.ndarray:
         """Run the streaming path over (L, C_f) features -> (L, 2)."""

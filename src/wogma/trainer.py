@@ -11,10 +11,11 @@ a fixed order, whichever thread takes it.
 Each `train` call moves every parameter's values into a fresh
 ParameterArena of four flat buffers (values, gradient, Adam m and v) with
 one step count, which lives for that call only: Adam starts at step 1 on
-every call. Backward passes accumulate into its gradient buffer, zero_grads
-clears it in place, and adam_step updates the whole model in one pass over
-cache-sized blocks, bitwise the same as the per-parameter formula.
-Parameters hold only their values.
+every call. Every video is one Adam step, as each video carries one 0/1
+label: its backward pass accumulates into the arena's gradient buffer,
+adam_step updates the whole model in one pass over cache-sized blocks,
+bitwise the same as the per-parameter formula, and one fill zeroes the
+buffer for the next video. Parameters hold only their values.
 
 A checkpoint holds the trained weights only: the config, the epoch and one
 record per parameter name. No command resumes training, so the Adam state
@@ -156,14 +157,14 @@ class ParameterArena:
 ADAM_BLOCK_BYTES = 256 * 1024
 
 
-def adam_step(arena: ParameterArena, config: TrainConfig, grad_scale: float = 1.0) -> None:
+def adam_step(arena: ParameterArena, config: TrainConfig) -> None:
     """Bias-corrected Adam with weight decay added to the gradient (L2 form).
 
     One pass over blocks of the arena's flat buffers. Each element gets the
     per-parameter formula's operations in its order, written in place into
     two block-sized scratch buffers, so the result is bitwise that formula's
     and no parameter-sized temporary is made:
-        g = grad * grad_scale + weight_decay * values
+        g = weight_decay * values + grad
         m = b1 * m + (1 - b1) * g;  v = b2 * v + ((1 - b2) * g) * g
         values -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
     with c1 = 1 - b1**t and c2 = 1 - b2**t at step t. A gradient that
@@ -178,9 +179,8 @@ def adam_step(arena: ParameterArena, config: TrainConfig, grad_scale: float = 1.
         values, grad, m, v = (flat[start:start + block] for flat in
                               (arena.values, arena.grad, arena.adam_m, arena.adam_v))
         g, term = scratch[0, :values.size], scratch[1, :values.size]
-        np.multiply(grad, grad_scale, out=g)
-        np.multiply(values, config.weight_decay, out=term)
-        g += term
+        np.multiply(values, config.weight_decay, out=g)
+        g += grad
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=term)
         m += term
@@ -198,7 +198,8 @@ def adam_step(arena: ParameterArena, config: TrainConfig, grad_scale: float = 1.
 
 
 def zero_grads(params: list[Parameter]) -> None:
-    """Clear every gradient; views into a ParameterArena are zeroed in place."""
+    """Drop every parameter's gradient, as after a backward pass outside
+    training; `train` zeroes its arena's gradient buffer itself."""
     for p in params:
         p.tensor.zero_grad()
 
@@ -228,8 +229,6 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
             order = shuffle_rng.permutation(len(videos))
             sums = np.zeros(3)
             correct = 0
-            pending = 0
-            zero_grads(params)
             for vid in order:
                 clips, labels, video_id = videos[vid]
                 with Tape() as tape:
@@ -239,17 +238,11 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
                         f"non-finite loss at epoch {epoch}, video {video_id}: "
                         f"mil_p={parts.mil_pseudo}, fml={parts.frame}, mil_o={parts.mil_online}")
                 tape.backward(loss)
-                pending += 1
-                if pending == config.batch_size:
-                    adam_step(arena, config, grad_scale=1.0 / pending)
-                    zero_grads(params)
-                    pending = 0
+                adam_step(arena, config)
+                arena.grad.fill(0.0)
                 sums += (parts.mil_pseudo, parts.frame, parts.mil_online)
                 predicted = (parts.video_prob > 0.5).astype(int)
                 correct += int(np.array_equal(predicted, labels))
-            if pending:
-                adam_step(arena, config, grad_scale=1.0 / pending)
-                zero_grads(params)
             row = EpochMetrics(epoch=epoch,
                                l_mil_p=sums[0] / len(videos),
                                l_fml=sums[1] / len(videos),

@@ -17,11 +17,11 @@ class PerParameterAdam:
         self.adam_v = [np.zeros_like(p.values) for p in self.params]
         self.step_count = 0
 
-    def step(self, config, grad_scale=1.0):
+    def step(self, config):
         self.step_count += 1
         for p, m, v in zip(self.params, self.adam_m, self.adam_v):
             grad = p.tensor.grad
-            grad = np.zeros_like(p.values) if grad is None else grad * grad_scale
+            grad = np.zeros_like(p.values) if grad is None else grad
             grad = grad + config.weight_decay * p.values
             m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
             v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad

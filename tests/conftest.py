@@ -30,6 +30,11 @@ def micro_clips(seed=0, clip_count=3, model=None):
         (clip_count, model.config.tau, JOINT_COUNT, CHANNELS))
 
 
+def parameter_count(model: ActionDetector) -> int:
+    """The number of weights `model` trains."""
+    return sum(p.values.size for p in model.parameters())
+
+
 @pytest.fixture
 def small_training_config():
     """18-joint config small enough for seconds-scale training tests."""

@@ -1,13 +1,15 @@
 """Taped primitives that only the test oracles compose.
 
-tanh, softmax, a masked sigmoid, row slicing, row stacking and the per-step
-LSTM cell: lstm_oracle.py builds the per-step form of ad.lstm_timeline from
-them, tiled_oracle.py stacks its clip windows with stack_rows, and
+The elementwise product, tanh, softmax, a masked sigmoid, row slicing, row
+stacking and the per-step LSTM cell: lstm_oracle.py builds the per-step form
+of ad.lstm_timeline from them, tiled_oracle.py stacks its clip windows with
+stack_rows, grad_oracle.py projects outputs onto a probe with mul, and
 criterion 1 checks the gradients of tanh, softmax and lstm_cell. softmax
 runs ad._softmax_vals, the kernel of ad.lstm_timeline's head, so the
 per-step form can equal the one-node timeline bitwise. The gates' sigmoid
 is the two-branch form below, not ad._sigmoid_vals, so the per-step form
-checks that kernel's bits instead of sharing them.
+checks that kernel's bits instead of sharing them. The two-term binary
+cross-entropy is the oracle for cpgb.binary_cross_entropy.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from wogma import autodiff as ad
 from wogma.autodiff import DTensor
+from wogma.cpgb import PROB_EPS
 
 
 def masked_sigmoid_vals(v: np.ndarray) -> np.ndarray:
@@ -44,6 +47,35 @@ def sigmoid(x) -> DTensor:
 
     ad._record(out, pull)
     return out
+
+
+def mul(a, b) -> DTensor:
+    """Elementwise product of two tensors of one shape."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    if a.values.shape != b.values.shape:
+        raise ad.ShapeError(f"mul: shapes {a.values.shape} and {b.values.shape} differ")
+    out = DTensor(a.values * b.values, requires_grad=ad._needs(a, b))
+
+    def pull(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a.ensure_grad()[...] += g * b.values
+        if b.requires_grad:
+            b.ensure_grad()[...] += g * a.values
+
+    ad._record(out, pull)
+    return out
+
+
+def two_term_binary_cross_entropy(probs, labels) -> DTensor:
+    """-[y log p + (1 - y) log(1 - p)], summed over entries, with both
+    probabilities clamped at cpgb.PROB_EPS: the soft-label form that
+    cpgb.binary_cross_entropy must equal bitwise for y in {0, 1}."""
+    y = np.asarray(labels, dtype=np.float64)
+    log_p = ad.log(ad.clip_min(probs, PROB_EPS))
+    log_not_p = ad.log(ad.clip_min(ad.add_const(ad.scale(probs, -1.0), 1.0), PROB_EPS))
+    pos = mul(DTensor(y), log_p)
+    neg = mul(DTensor(1.0 - y), log_not_p)
+    return ad.scale(ad.reduce_sum(ad.add(pos, neg)), -1.0)
 
 
 def tanh(x) -> DTensor:
@@ -116,6 +148,6 @@ def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
     gate_f = sigmoid(slice_rows(z, hidden, 2 * hidden))
     cand = tanh(slice_rows(z, 2 * hidden, 3 * hidden))
     gate_o = sigmoid(slice_rows(z, 3 * hidden, 4 * hidden))
-    c = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
-    h = ad.mul(gate_o, tanh(c))
+    c = ad.add(mul(gate_f, c_prev), mul(gate_i, cand))
+    h = mul(gate_o, tanh(c))
     return h, c

@@ -587,3 +587,112 @@ def test_timelines_csv_quotes_video_id_through_eval_and_plot(tmp_path, capsys):
     root = ET.fromstring(svg.read_text())
     title = root.find("{http://www.w3.org/2000/svg}text").text
     assert title == f"online detection: {video_id}"
+
+
+def test_train_batch_size_flag_exits_one(tmp_path, capsys):
+    # one video per Adam step: the flag is gone
+    assert run_cli(["train", "--batch-size", 2, "--out-dir", tmp_path]) == 1
+    assert "unrecognized arguments: --batch-size 2" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
+def nan_weight_checkpoint(tmp_path):
+    """A checkpoint of the FAST_CONFIG model with nan in oamb.b_a[0]: it loads,
+    and every softmax row the online branch emits is nan."""
+    model = ActionDetector(TrainConfig(**FAST_CONFIG))
+    model.params["oamb.b_a"].values[0] = np.nan
+    checkpoint = tmp_path / "nan.bin"
+    save_checkpoint(checkpoint, model, epoch=0)
+    return checkpoint
+
+
+@pytest.mark.parametrize("command", [["eval", "--data"], ["detect", "--data"],
+                                     ["detect", "--stdin"]],
+                         ids=["eval", "detect-data", "detect-stdin"])
+def test_non_finite_weight_exits_three_and_writes_no_score(tmp_path, monkeypatch, capsys,
+                                                           command):
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, n_videos=2)
+    rng = np.random.default_rng(0)
+    config = TrainConfig(**FAST_CONFIG)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_clip_line(config, rng) * 2))
+    source = [] if command[1] == "--stdin" else [data]
+    assert run_cli([command[0], "--checkpoint", nan_weight_checkpoint(tmp_path), *command[1:],
+                    *source, "--out-dir", tmp_path / "out"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numeric failure: clip 1: non-finite probabilities [nan, nan]" in err
+    assert not any((tmp_path / "out").glob("*.json"))
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict parsers do."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_one_class_test_set_reports_null_auc_and_plots_no_nan(tmp_path, capsys):
+    # with one class the AUC is undefined: null in report.json and on stdout,
+    # nan in early_curve.csv, and left out of the plot
+    data = tmp_path / "d.jsonl"
+    save_sequences(data, synthesize(SynthParams(n_videos=3, frames=120, seed=2,
+                                                positive_fraction=1.0,
+                                                segment_len_min=40, segment_len_max=60)))
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    assert run_cli(["eval", "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", tmp_path / "run", "--fractions", "0.5,1.0"]) == 0
+    report_path = tmp_path / "run" / "report.json"
+    report = strict_json(report_path.read_text())
+    assert report["auc"] is None
+    assert report["early_curve"] == [[0.5, None], [1.0, None]]
+    assert strict_json(capsys.readouterr().out) == report
+    rows = list(csv.reader(io.StringIO((tmp_path / "run" / "early_curve.csv").read_text())))
+    assert rows[1:] == [["0.5", "nan"], ["1.0", "nan"]]
+
+    assert run_cli(["plot", "--report", report_path, "--out-dir", tmp_path / "plots"]) == 0
+    assert "no early-curve point with a defined AUC" in capsys.readouterr().err
+    assert not (tmp_path / "plots" / "auc_vs_fraction.svg").exists()
+
+
+def test_plot_leaves_out_undefined_curve_points(tmp_path, capsys):
+    # null as eval writes it, NaN as a report written before null was
+    report = tmp_path / "report.json"
+    report.write_text('{"early_curve": [[0.25, null], [0.5, NaN], [1.0, 0.75]]}')
+    assert run_cli(["plot", "--report", report, "--out-dir", tmp_path / "plots"]) == 0
+    text = (tmp_path / "plots" / "auc_vs_fraction.svg").read_text()
+    assert "nan" not in text.lower()
+    circles = ET.fromstring(text).findall(".//{http://www.w3.org/2000/svg}circle")
+    assert [c.find("{http://www.w3.org/2000/svg}title").text for c in circles] == ["1: 0.7500"]
+
+
+@pytest.mark.parametrize("video_id, name", [("clinic/0001", "clinic%2F0001"),
+                                            ("a%2Fb", "a%252Fb"), ("nul\0id", "nul%00id")],
+                         ids=["slash", "percent", "nul"])
+def test_plot_timeline_file_name_escapes_slash_percent_and_nul(tmp_path, capsys, video_id,
+                                                               name):
+    timelines = tmp_path / "timelines.csv"
+    with open(timelines, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["video_id", "clip", "start_frame", "end_frame", "prob_background",
+                         "prob_class_1"])
+        writer.writerow([video_id, 1, 1, 20, 0.25, 0.75])
+    assert run_cli(["plot", "--timelines", timelines, "--out-dir", tmp_path / "plots"]) == 0
+    assert [p.name for p in (tmp_path / "plots").iterdir()] == [f"timeline_{name}.svg"]
+
+
+def test_checkpoint_with_batch_size_exits_two(tmp_path, monkeypatch, capsys):
+    # a file written while TrainConfig had a batch_size field
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    blob = checkpoint.read_bytes()
+    stop = 12 + int.from_bytes(blob[8:12], "little")
+    config = json.dumps({**json.loads(blob[12:stop]), "batch_size": 1},
+                        sort_keys=True).encode("utf-8")
+    checkpoint.write_bytes(blob[:8] + len(config).to_bytes(4, "little") + config + blob[stop:])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
+                    "--out-dir", tmp_path / "out"]) == 2
+    assert ("bad config: unknown config keys: ['batch_size']"
+            in capsys.readouterr().err)

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wogma import autodiff as ad
 from wogma import cpgb
 from wogma.autodiff import DTensor, Tape
 from grad_oracle import grad_check
+from tape_oracle import two_term_binary_cross_entropy
 
 
 def make_branch(feature_dim=6, ablate=False, seed=0):
@@ -177,6 +178,38 @@ def test_mil_loss_gradient():
             return loss
 
         assert grad_check(fn, [scores], h=1e-6) < 1e-6, f"label {label}"
+
+
+def bce_on_tape(bce, p, label):
+    """(loss, d loss / d p, tape nodes) of `bce` at the (1,) probability p."""
+    probs = DTensor(np.array([p]), requires_grad=True)
+    with Tape() as tape:
+        loss = bce(probs, np.array([label]))
+    tape.backward(loss)
+    return loss.values, probs.grad, len(tape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(0.0, 1.0), label=st.sampled_from([0, 1]))
+@example(p=0.0, label=0).via("clamped")
+@example(p=0.0, label=1).via("clamped")
+@example(p=1e-9, label=0).via("below the clamp")
+@example(p=1e-9, label=1).via("below the clamp")
+@example(p=0.3, label=0)
+@example(p=0.3, label=1)
+@example(p=1.0 - 1e-12, label=0).via("1 - p below the clamp")
+@example(p=1.0 - 1e-12, label=1).via("1 - p below the clamp")
+@example(p=1.0, label=0).via("clamped")
+@example(p=1.0, label=1).via("clamped")
+def test_binary_cross_entropy_equals_two_term_oracle_bitwise(p, label):
+    # the one-label form drops the term the label zeroes; its value and
+    # gradient keep the two-term form's bits, in fewer tape nodes
+    loss, grad, nodes = bce_on_tape(cpgb.binary_cross_entropy, p, label)
+    want_loss, want_grad, _ = bce_on_tape(two_term_binary_cross_entropy, p, label)
+    assert loss.shape == want_loss.shape == ()
+    assert loss.tobytes() == want_loss.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert nodes == (4 if label == 1 else 6)
 
 
 def test_pseudo_labels_video_below_class_threshold():

@@ -106,6 +106,17 @@ def test_frame_loss_gradient_through_softmax():
     assert grad_check(fn, [logits], h=1e-6) < 1e-6
 
 
+def test_mil_loss_online_gradient():
+    # both BCE branches, through the softmax rows the timeline emits
+    logits = np.random.default_rng(6).standard_normal((6, 2))
+    for label in (1, 0):
+        def fn(z):
+            loss, _ = oamb.mil_loss_online(softmax(z), np.array([label]), kappa=3)
+            return loss
+
+        assert grad_check(fn, [logits], h=1e-6) < 1e-6, f"label {label}"
+
+
 def test_mil_loss_online_hand_values():
     ones = np.zeros((4, 2))
     ones[:, 1] = 1.0
