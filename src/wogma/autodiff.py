@@ -537,21 +537,18 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
         cells.append(cell)
     out = DTensor(np.stack([cell[7] for cell in cells]),
                   requires_grad=_needs(x, w_ih, w_hh, b, w_a, b_a))
-    recurrent = any(t.requires_grad for t in (x, w_ih, w_hh, b))
 
     def pull(g: np.ndarray) -> None:
         # row n of each buffer is step count-1-n: row 0 is the newest step
         h_rows = np.stack([cell[6] for cell in reversed(cells)] + [zero])
         dlogits_rows = np.empty((count, w_a.values.shape[1]))
-        dz_rows = np.empty((count, 4 * hidden)) if recurrent else None
+        dz_rows = np.empty((count, 4 * hidden))
         dx = np.empty_like(x.values) if x.requires_grad else None
         dh_next = dc_next = None    # what step i+1 passed back to h_i and c_i
         for n, i in enumerate(reversed(range(count))):
             gate_i, gate_f, cand, gate_o, c, tanh_c, h, y = cells[i]
             dlogits = np.multiply(y, g[i] - (g[i] * y).sum(axis=-1, keepdims=True),
                                   out=dlogits_rows[n])
-            if not recurrent:
-                continue
             dh = dlogits @ w_a.values.T
             if dh_next is not None:
                 dh = dh_next + dh

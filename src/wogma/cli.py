@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import sys
@@ -96,7 +97,8 @@ def build_parser() -> _Parser:
     tr.add_argument("--max-frames", type=int, default=None)
     tr.add_argument("--ablate-pseudo", action="store_true", default=None)
     tr.add_argument("--ablate-local", action="store_true", default=None)
-    tr.add_argument("--ablate-longrange", action="store_true", default=None)
+    tr.add_argument("--ablate-longrange", dest="conv_layers", action="store_const", const=0,
+                    help="no long-range temporal convolution: conv_layers = 0")
     tr.add_argument("--quiet", action="store_true")
     tr.set_defaults(func=cmd_train)
 
@@ -348,7 +350,14 @@ def cmd_plot(args) -> int:
                                          gt_by_video.get(video_id),
                                          instances_by_video.get(video_id))
                 target = out_dir / f"timeline_{_file_name_part(video_id)}.svg"
-                target.write_text(svg)
+                try:
+                    target.write_text(svg)
+                except OSError as exc:
+                    if exc.errno != errno.ENAMETOOLONG:
+                        raise
+                    shown = video_id if len(video_id) <= 40 else f"{video_id[:40]}..."
+                    raise DataFormatError(
+                        f"video {shown!r}: timeline file name too long") from exc
                 print(f"wrote {target}")
                 wrote_any = True
 

@@ -62,8 +62,8 @@ class TrainConfig:
     seed: int = 0
     ablate_pseudo: bool = False
     ablate_local: bool = False
-    ablate_longrange: bool = False
-    # network widths (the reference leaves these open; desk-scale defaults)
+    # network widths (the reference leaves these open; desk-scale defaults);
+    # conv_layers = 0 is the long-range ablation
     scales: int = 3
     gcn_channels: int = 32
     gcn_layers: int = 1
@@ -78,12 +78,14 @@ class TrainConfig:
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
         for name in ("tau", "stride", "kappa", "epochs", "max_frames", "hidden", "gcn_channels",
-                     "gcn_layers", "feature_dim", "conv_layers"):
+                     "gcn_layers", "feature_dim"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        if self.scales < 0:
-            raise ConfigurationError(f"scales must be >= 0, got {self.scales}")
+        for name in ("scales", "conv_layers"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.conv_kernel % 2 == 0:
             raise ConfigurationError(f"conv_kernel must be odd, got {self.conv_kernel}")
         if self.max_frames < self.tau:

@@ -17,12 +17,16 @@ PROB_EPS = 1e-7
 
 
 class PseudoLabelBranch:
-    """Temporal conv stack + per-clip scoring head."""
+    """Temporal conv stack + per-clip scoring head.
+
+    `conv_layers` = 0 is the long-range ablation: no convolution mixes the
+    clips, and the head scores each clip's features alone.
+    """
 
     def __init__(self, feature_dim: int, conv_layers: int, conv_kernel: int,
-                 ablate_longrange: bool, rng: np.random.Generator | None):
+                 rng: np.random.Generator | None):
         self.params: dict[str, Parameter] = {}
-        self.conv_layers = 0 if ablate_longrange else conv_layers
+        self.conv_layers = conv_layers
         fan = feature_dim * conv_kernel
         for layer in range(self.conv_layers):
             self._add(ad.init_uniform(rng, (feature_dim, feature_dim, conv_kernel), fan,
@@ -36,7 +40,7 @@ class PseudoLabelBranch:
         return param
 
     def temporal_stack(self, features: DTensor) -> DTensor:
-        """Long-range mixing; identity when the conv stack is ablated."""
+        """Long-range mixing; identity with no conv layer."""
         out = features
         for layer in range(self.conv_layers):
             out = ad.relu(ad.temporal_conv1d(out, self.params[f"cpgb.conv{layer}_w"],
@@ -61,19 +65,18 @@ def top_k_indices(scores: np.ndarray, kappa: int) -> np.ndarray:
 
 
 def topk_pool(x: DTensor, kappa: int, col: int) -> DTensor:
-    """Mean of the K largest entries of column `col` of x, as a (1,) tensor.
+    """Mean of the K largest entries of column `col` of x, as a () tensor.
 
     K = max(1, L // kappa). The result is every video-level score of the
     model; its gradient reaches only the picked entries, each as 1/K.
     """
     picked = top_k_indices(x.values[:, col], kappa)
-    taken = ad.take_entries(x, picked, np.full(picked.size, col))
-    return ad.reduce_mean(ad.reshape(taken, (1, picked.size)), axis=1)
+    return ad.reduce_mean(ad.take_entries(x, picked, np.full(picked.size, col)))
 
 
-def binary_cross_entropy(probs: DTensor, labels: np.ndarray) -> DTensor:
+def binary_cross_entropy(prob: DTensor, labels: np.ndarray) -> DTensor:
     """-log p for a positive video, -log(1 - p) for a negative one, from the
-    (1,) video probability and the video's one 0/1 label, as a () tensor;
+    () video probability and the video's one 0/1 label, as a () tensor;
     the probability is clamped at PROB_EPS before the log.
 
     The plain MIL objective only scores positive videos; the binary form
@@ -82,28 +85,29 @@ def binary_cross_entropy(probs: DTensor, labels: np.ndarray) -> DTensor:
     -[y log p + (1 - y) log(1 - p)] (tests/tape_oracle.py).
     """
     if labels[0] == 0:
-        probs = ad.add_const(ad.scale(probs, -1.0), 1.0)
-    return ad.scale(ad.reduce_sum(ad.log(ad.clip_min(probs, PROB_EPS))), -1.0)
+        prob = ad.add_const(ad.scale(prob, -1.0), 1.0)
+    return ad.scale(ad.log(ad.clip_min(prob, PROB_EPS)), -1.0)
 
 
-def mil_loss(scores: DTensor, labels: np.ndarray, kappa: int) -> tuple[DTensor, np.ndarray]:
-    """Video-level MIL loss from raw clip scores; also returns video probs."""
-    video_probs = ad.sigmoid(topk_pool(scores, kappa, 0))
-    return binary_cross_entropy(video_probs, labels), video_probs.values
+def mil_loss(scores: DTensor, labels: np.ndarray, kappa: int) -> tuple[DTensor, float]:
+    """Video-level MIL loss from raw clip scores; also returns the video
+    probability."""
+    video_prob = ad.sigmoid(topk_pool(scores, kappa, 0))
+    return binary_cross_entropy(video_prob, labels), float(video_prob.values)
 
 
-def generate_pseudo_labels(clip_probs: np.ndarray, video_probs: np.ndarray,
+def generate_pseudo_labels(clip_probs: np.ndarray, video_prob: float,
                            theta_class: float, theta_score: float,
                            labels: np.ndarray) -> np.ndarray:
     """Two-stage thresholding of the (L, 1) clip probabilities into 0
     (background) or 1 (action).
 
-    A video's clips may be labelled only if its video probability clears
-    theta_class AND its ground-truth label is positive (label filtering);
-    then each clip whose probability clears theta_score is labelled 1. The
-    result is a constant under differentiation.
+    A video's clips may be labelled only if its video probability
+    `video_prob` clears theta_class AND its ground-truth label is positive
+    (label filtering); then each clip whose probability clears theta_score
+    is labelled 1. The result is a constant under differentiation.
     """
     out = np.zeros(clip_probs.shape[0], dtype=np.intp)
-    if video_probs[0] >= theta_class and labels[0] == 1:
+    if video_prob >= theta_class and labels[0] == 1:
         out[clip_probs[:, 0] >= theta_score] = 1
     return out

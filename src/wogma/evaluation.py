@@ -173,8 +173,7 @@ def score_videos(model: ActionDetector, dataset: list[SkeletonSequence],
     for seq in dataset:
         clips = model.prepare_clips(seq)
         timeline = model.infer_timeline(clips)
-        prob = float(prefix_video_prob(timeline, timeline.shape[0],
-                                       model.config.kappa)[0])
+        prob = prefix_video_prob(timeline, timeline.shape[0], model.config.kappa)
         instances = extract_instances(timeline, instance_threshold, model.windowing)
         results.append(VideoResult(video_id=seq.video_id, label=int(seq.labels[0]),
                                    timeline=timeline, video_prob=prob,
@@ -198,7 +197,7 @@ def early_observation_curve(results: list[VideoResult], fractions, kappa: int) -
         for r in results:
             count = r.timeline.shape[0]
             prefix = min(count, max(1, math.ceil(fraction * count)))
-            probs.append(prefix_video_prob(r.timeline, prefix, kappa)[0])
+            probs.append(prefix_video_prob(r.timeline, prefix, kappa))
         _, _, auc = classification_metrics(np.array(probs), labels)
         curve.append((float(fraction), float(auc)))
     return curve

@@ -8,7 +8,7 @@ from .autodiff import DTensor, Parameter
 from .config import TrainConfig
 from .cpgb import PseudoLabelBranch
 from .dataset import CHANNELS, SkeletonSequence, preprocess
-from .graph import JOINT_COUNT, build_multiscale, default_skeleton
+from .graph import JOINT_COUNT, build_multiscale, skeleton_adjacency
 from .lfem import ClipWindowing, LocalFeatureExtractor, split_clips
 from .oamb import OnlineBranch
 
@@ -16,9 +16,9 @@ from .oamb import OnlineBranch
 class ActionDetector:
     """Full detection model: clip features, pseudo-label branch, online branch.
 
-    It detects one action class on the default 18-joint skeleton, as the
-    data format fixes both: one 0/1 label per video and `graph.JOINT_COUNT`
-    joints per frame.
+    It detects one action class on the 18-joint skeleton of
+    `graph.SKELETON_EDGES`, as the data format fixes both: one 0/1 label
+    per video and `graph.JOINT_COUNT` joints per frame.
 
     Parameter creation order is fixed, and all randomness flows from the
     config seed, so two models built from the same config are identical.
@@ -35,13 +35,13 @@ class ActionDetector:
         self.windowing = ClipWindowing(tau=config.tau, stride=config.stride)
         rng = np.random.default_rng(config.seed) if initialise else None
         self.extractor = LocalFeatureExtractor(
-            build_multiscale(default_skeleton(), scales=config.scales), tau=config.tau,
+            build_multiscale(skeleton_adjacency(), scales=config.scales), tau=config.tau,
             joints=JOINT_COUNT, in_channels=CHANNELS, gcn_channels=config.gcn_channels,
             gcn_layers=config.gcn_layers, feature_dim=config.feature_dim,
             ablate_local=config.ablate_local, rng=rng)
         self.pseudo_branch = PseudoLabelBranch(
             feature_dim=config.feature_dim, conv_layers=config.conv_layers,
-            conv_kernel=config.conv_kernel, ablate_longrange=config.ablate_longrange, rng=rng)
+            conv_kernel=config.conv_kernel, rng=rng)
         self.online_branch = OnlineBranch(
             feature_dim=config.feature_dim, hidden=config.hidden, rng=rng)
         self.params: dict[str, Parameter] = {}

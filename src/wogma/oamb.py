@@ -114,23 +114,23 @@ def frame_loss(timeline: DTensor, pseudo_labels: np.ndarray) -> DTensor:
 
 
 def mil_loss_online(timeline: DTensor, labels: np.ndarray,
-                    kappa: int) -> tuple[DTensor, np.ndarray]:
+                    kappa: int) -> tuple[DTensor, float]:
     """Top-K pooled video probability of the action, scored as BCE; also
-    returns the pooled (1,) probability.
+    returns that probability.
 
     Pooling runs on the post-softmax action column, which already live in
     [0, 1], so no extra squashing is applied.
     """
-    video = topk_pool(timeline, kappa, 1)
-    return binary_cross_entropy(video, labels), video.values
+    video_prob = topk_pool(timeline, kappa, 1)
+    return binary_cross_entropy(video_prob, labels), float(video_prob.values)
 
 
-def prefix_video_prob(timeline_probs: np.ndarray, prefix: int, kappa: int) -> np.ndarray:
-    """(1,) top-K video probability of the action over the first `prefix` clips."""
+def prefix_video_prob(timeline_probs: np.ndarray, prefix: int, kappa: int) -> float:
+    """Top-K video probability of the action over the first `prefix` clips."""
     count = timeline_probs.shape[0]
     if not 1 <= prefix <= count:
         raise ValueError(f"prefix {prefix} outside 1..{count}")
-    return topk_pool(DTensor(timeline_probs[:prefix]), kappa, 1).values
+    return float(topk_pool(DTensor(timeline_probs[:prefix]), kappa, 1).values)
 
 
 def extract_instances(timeline_probs: np.ndarray, threshold: float,

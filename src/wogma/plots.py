@@ -7,6 +7,7 @@ segments and extracted instances as horizontal bands.
 
 from __future__ import annotations
 
+import re
 from xml.sax.saxutils import escape
 
 WIDTH = 640
@@ -15,6 +16,10 @@ MARGIN = 50
 
 
 def _header(title: str) -> list[str]:
+    # XML 1.0 forbids C0 controls but tab, LF and CR, U+FFFE, U+FFFF and lone
+    # surrogates even as character references: each becomes U+FFFD
+    title = re.sub("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd",
+                   title)
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',

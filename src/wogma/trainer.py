@@ -58,7 +58,7 @@ class LossParts:
     mil_pseudo: float
     frame: float
     mil_online: float
-    video_prob: np.ndarray  # (1,) online video probability
+    video_prob: float  # online video probability
 
 
 @dataclass
@@ -81,7 +81,7 @@ def joint_loss(model: ActionDetector, clips: np.ndarray,
     config = model.config
     feats = model.features(clips)
     scores = model.pseudo_branch.clip_scores(feats)
-    loss_mil_p, video_probs = mil_loss(scores, labels, config.kappa)
+    loss_mil_p, video_prob = mil_loss(scores, labels, config.kappa)
 
     timeline = model.online_branch.timeline(feats)
     loss_mil_o, online_prob = mil_loss_online(timeline, labels, config.kappa)
@@ -90,7 +90,7 @@ def joint_loss(model: ActionDetector, clips: np.ndarray,
     loss_fml_value = 0.0
     if not config.ablate_pseudo:
         clip_probs = ad._sigmoid_vals(scores.values)
-        pseudo = generate_pseudo_labels(clip_probs, video_probs, config.theta_class,
+        pseudo = generate_pseudo_labels(clip_probs, video_prob, config.theta_class,
                                         config.theta_score, labels)
         loss_fml = frame_loss(timeline, pseudo)
         total = ad.add(total, loss_fml)
@@ -241,8 +241,7 @@ def train(dataset: list[SkeletonSequence], config: TrainConfig,
                 adam_step(arena, config)
                 arena.grad.fill(0.0)
                 sums += (parts.mil_pseudo, parts.frame, parts.mil_online)
-                predicted = (parts.video_prob > 0.5).astype(int)
-                correct += int(np.array_equal(predicted, labels))
+                correct += int((parts.video_prob > 0.5) == labels[0])
             row = EpochMetrics(epoch=epoch,
                                l_mil_p=sums[0] / len(videos),
                                l_fml=sums[1] / len(videos),

@@ -68,8 +68,9 @@ def mul(a, b) -> DTensor:
 
 def two_term_binary_cross_entropy(probs, labels) -> DTensor:
     """-[y log p + (1 - y) log(1 - p)], summed over entries, with both
-    probabilities clamped at cpgb.PROB_EPS: the soft-label form that
-    cpgb.binary_cross_entropy must equal bitwise for y in {0, 1}."""
+    probabilities clamped at cpgb.PROB_EPS and `labels` of the shape of
+    `probs`: the soft-label form that cpgb.binary_cross_entropy must equal
+    bitwise for y in {0, 1}."""
     y = np.asarray(labels, dtype=np.float64)
     log_p = ad.log(ad.clip_min(probs, PROB_EPS))
     log_not_p = ad.log(ad.clip_min(ad.add_const(ad.scale(probs, -1.0), 1.0), PROB_EPS))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import corrupt_saved_checkpoint
-from wogma import cli
+from wogma import cli, plots
 from wogma.dataset import SynthParams, save_sequences, synthesize
 from wogma.config import RunConfig, TrainConfig
 from wogma.model import ActionDetector
@@ -55,11 +55,13 @@ def test_unknown_flag_exits_one(capsys):
 
 @pytest.mark.parametrize("key, value", [("definitely_unknown", 1),
                                         ("eval_fractions", [0.5, 1.0]),
-                                        ("instance_threshold", 0.3)],
-                         ids=["definitely_unknown", "eval_fractions", "instance_threshold"])
+                                        ("instance_threshold", 0.3),
+                                        ("ablate_longrange", True)],
+                         ids=["definitely_unknown", "eval_fractions", "instance_threshold",
+                              "ablate_longrange"])
 def test_unknown_config_key_exits_one(tmp_path, capsys, key, value):
     # the early-curve fractions and the instance threshold are flags of eval
-    # and detect; train reads neither
+    # and detect; train reads neither. The long-range ablation is conv_layers = 0
     config = tmp_path / "c.json"
     config.write_text(json.dumps({key: value}))
     assert run_cli(["train", "--config", config]) == 1
@@ -108,6 +110,15 @@ def test_bad_config_value_exits_one_when_a_flag_overrides_it(tmp_path, capsys):
     assert run_cli(["train", "--config", config, "--out-dir", tmp_path, "--hidden", 8]) == 1
     assert "hidden must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("flags, conv_layers", [([], 3), (["--ablate-longrange"], 0)],
+                         ids=["file", "flag"])
+def test_train_ablate_longrange_flag_sets_conv_layers_zero(tmp_path, flags, conv_layers):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**FAST_CONFIG, "conv_layers": 3}))
+    args = cli.build_parser().parse_args(["train", "--config", str(config), *flags])
+    assert cli._load_run(args).train.conv_layers == conv_layers
 
 
 @pytest.mark.parametrize("command, skipped", [
@@ -667,32 +678,74 @@ def test_plot_leaves_out_undefined_curve_points(tmp_path, capsys):
     assert [c.find("{http://www.w3.org/2000/svg}title").text for c in circles] == ["1: 0.7500"]
 
 
+def one_row_timelines(path, video_id):
+    """Write a timelines.csv, as eval writes it, holding one clip of `video_id`."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["video_id", "clip", "start_frame", "end_frame", "prob_background",
+                         "prob_class_1"])
+        writer.writerow([video_id, 1, 1, 20, 0.25, 0.75])
+    return path
+
+
 @pytest.mark.parametrize("video_id, name", [("clinic/0001", "clinic%2F0001"),
                                             ("a%2Fb", "a%252Fb"), ("nul\0id", "nul%00id")],
                          ids=["slash", "percent", "nul"])
 def test_plot_timeline_file_name_escapes_slash_percent_and_nul(tmp_path, capsys, video_id,
                                                                name):
-    timelines = tmp_path / "timelines.csv"
-    with open(timelines, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["video_id", "clip", "start_frame", "end_frame", "prob_background",
-                         "prob_class_1"])
-        writer.writerow([video_id, 1, 1, 20, 0.25, 0.75])
+    timelines = one_row_timelines(tmp_path / "timelines.csv", video_id)
     assert run_cli(["plot", "--timelines", timelines, "--out-dir", tmp_path / "plots"]) == 0
     assert [p.name for p in (tmp_path / "plots").iterdir()] == [f"timeline_{name}.svg"]
 
 
-def test_checkpoint_with_batch_size_exits_two(tmp_path, monkeypatch, capsys):
-    # a file written while TrainConfig had a batch_size field
+def test_plot_video_id_too_long_for_a_file_name_exits_two(tmp_path, capsys):
+    timelines = one_row_timelines(tmp_path / "timelines.csv", "v" * 300)
+    assert run_cli(["plot", "--timelines", timelines, "--out-dir", tmp_path / "plots"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: video '{'v' * 40}...': timeline file name too long" in err
+    assert "Traceback" not in err
+
+
+def test_plot_title_replaces_code_points_xml_forbids(tmp_path, capsys):
+    timelines = one_row_timelines(tmp_path / "timelines.csv", "a\0b")
+    assert run_cli(["plot", "--timelines", timelines, "--out-dir", tmp_path / "plots"]) == 0
+    root = ET.parse(tmp_path / "plots" / "timeline_a%00b.svg").getroot()
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "online detection: a\ufffdb"
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("\x01\x08\x0b\x0c\x0e\x1f", "\ufffd" * 6), ("\ufffe\uffff", "\ufffd\ufffd"),
+    ("x\ud800y\udfffz", "x\ufffdy\ufffdz"), ("tab\tlf\ncr\r\x7f\ufffd", "tab\tlf\ncr\r\x7f\ufffd"),
+], ids=["c0", "non-characters", "lone-surrogates", "allowed"])
+def test_timeline_svg_title_is_well_formed(text, shown):
+    root = ET.fromstring(plots.timeline_svg(text, [0.5], [(1, 20)], None, None))
+    title = root.find("{http://www.w3.org/2000/svg}text").text
+    # XML parsers normalise CR and CR LF to LF
+    assert title == "online detection: " + shown.replace("\r", "\n")
+
+
+def detect_with_old_config_key(tmp_path, monkeypatch, key, value) -> int:
+    """`detect --stdin` on a checkpoint whose config also holds `key`, as a
+    file written while TrainConfig had that field."""
     checkpoint = tmp_path / "ck.bin"
     save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
     blob = checkpoint.read_bytes()
     stop = 12 + int.from_bytes(blob[8:12], "little")
-    config = json.dumps({**json.loads(blob[12:stop]), "batch_size": 1},
+    config = json.dumps({**json.loads(blob[12:stop]), key: value},
                         sort_keys=True).encode("utf-8")
     checkpoint.write_bytes(blob[:8] + len(config).to_bytes(4, "little") + config + blob[stop:])
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
-    assert run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
-                    "--out-dir", tmp_path / "out"]) == 2
+    return run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
+                    "--out-dir", tmp_path / "out"])
+
+
+def test_checkpoint_with_batch_size_exits_two(tmp_path, monkeypatch, capsys):
+    assert detect_with_old_config_key(tmp_path, monkeypatch, "batch_size", 1) == 2
     assert ("bad config: unknown config keys: ['batch_size']"
+            in capsys.readouterr().err)
+
+
+def test_checkpoint_with_ablate_longrange_exits_two(tmp_path, monkeypatch, capsys):
+    assert detect_with_old_config_key(tmp_path, monkeypatch, "ablate_longrange", False) == 2
+    assert ("bad config: unknown config keys: ['ablate_longrange']"
             in capsys.readouterr().err)

@@ -258,7 +258,7 @@ def test_early_curve_fraction_one_equals_full_auc():
     curve = ev.early_observation_curve(results, [0.25, 1.0], kappa=8)
     from wogma.oamb import prefix_video_prob
     labels = np.array([r.label for r in results])
-    probs = np.array([prefix_video_prob(r.timeline, r.timeline.shape[0], 8)[0]
+    probs = np.array([prefix_video_prob(r.timeline, r.timeline.shape[0], 8)
                       for r in results])
     _, _, auc = ev.classification_metrics(probs, labels)
     assert curve[-1] == (1.0, auc)

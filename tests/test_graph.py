@@ -1,10 +1,8 @@
 from collections import deque
 
 import numpy as np
-import pytest
 
 from wogma import graph as gr
-from wogma.errors import DataFormatError
 from tiled_oracle import tile_window, tiled_multiscale
 
 
@@ -33,37 +31,54 @@ def random_graph(rng, n):
     return adj
 
 
+def path_adjacency(n):
+    """The 0/1 adjacency of the path 1 - 2 - ... - n."""
+    return np.eye(n, k=1) + np.eye(n, k=-1)
+
+
 def test_path_graph_adjacency():
-    g = gr.build_spatial_graph([(1, 2), (2, 3)], 3)
-    np.testing.assert_array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    # the distance-1 scale of the path 1 - 2 - 3 with self-connections has
+    # degrees 2, 3, 2; distance 2 links only the two ends
+    spatial = gr.build_multiscale(path_adjacency(3), scales=2)
+    r6 = 1.0 / np.sqrt(6.0)
+    np.testing.assert_allclose(spatial[1], [[0.5, r6, 0.0], [r6, 1 / 3, r6], [0.0, r6, 0.5]],
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(spatial[2], [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]],
+                               rtol=0, atol=1e-15)
 
 
 def test_single_edge_graph():
-    g = gr.build_spatial_graph([(1, 2)], 2)
-    np.testing.assert_array_equal(g.adjacency, [[0, 1], [1, 0]])
+    spatial = gr.build_multiscale(path_adjacency(2), scales=1)
+    np.testing.assert_array_equal(spatial[0], np.eye(2))
+    np.testing.assert_allclose(spatial[1], np.full((2, 2), 0.5), rtol=0, atol=1e-15)
 
 
 def test_out_of_range_joint_rejected():
-    with pytest.raises(DataFormatError):
-        gr.build_spatial_graph([(1, 5)], 3)
+    # the shipped edge list is the only one: every endpoint is a 1-indexed joint
+    edges = gr.SKELETON_EDGES
+    assert all(1 <= i <= gr.JOINT_COUNT and 1 <= j <= gr.JOINT_COUNT for i, j in edges)
 
 
 def test_self_loop_rejected():
-    with pytest.raises(DataFormatError):
-        gr.build_spatial_graph([(2, 2)], 3)
+    edges = gr.SKELETON_EDGES
+    assert all(i != j for i, j in edges), "no self-loop"
+    assert len({frozenset(e) for e in edges}) == len(edges), "no repeated pair"
+    np.testing.assert_array_equal(np.diag(gr.skeleton_adjacency()), 0.0)
 
 
 def test_default_skeleton_17_edges_connected():
-    g = gr.default_skeleton()
-    assert g.joint_count == 18
-    assert len(g.edges) == 17
-    dist = bfs_distances(g.adjacency)
-    assert np.all(dist >= 0), "shipped skeleton must be connected"
+    assert len(gr.SKELETON_EDGES) == 17
+    adj = gr.skeleton_adjacency()
+    assert adj.shape == (gr.JOINT_COUNT, gr.JOINT_COUNT)
+    np.testing.assert_array_equal(adj, adj.T)
+    np.testing.assert_array_equal(np.diag(adj), 0.0)
+    assert set(np.unique(adj)) == {0.0, 1.0}
+    assert adj.sum() == 34
+    assert np.all(bfs_distances(adj) >= 0), "the skeleton must be connected"
 
 
 def test_disentangled_path_graph_distance_two():
-    g = gr.build_spatial_graph([(1, 2), (2, 3)], 3)
-    mats = gr.disentangle_multiscale(g.adjacency, 2)
+    mats = gr.disentangle_multiscale(path_adjacency(3), 2)
     expected = np.zeros((3, 3))
     expected[0, 2] = expected[2, 0] = 1.0
     np.testing.assert_array_equal(mats[2], expected)
@@ -161,9 +176,9 @@ def test_normalized_spectral_radius_at_most_one():
 
 
 def test_multiscale_bundle_shapes():
-    g = gr.default_skeleton()
-    spatial = gr.build_multiscale(g, scales=3)
-    tiled = tiled_multiscale(g, scales=3, tau=4)
+    adj = gr.skeleton_adjacency()
+    spatial = gr.build_multiscale(adj, scales=3)
+    tiled = tiled_multiscale(adj, scales=3, tau=4)
     assert len(tiled) == 4 and len(spatial) == 4
     assert tiled[0].shape == (72, 72)
     assert spatial[0].shape == (18, 18)
@@ -171,10 +186,10 @@ def test_multiscale_bundle_shapes():
 
 def test_tiled_equals_spatial_fast_path():
     # applying the tiled matrix to a window equals spatial/tau on the frame sum
-    g = gr.build_spatial_graph([(1, 2), (2, 3), (3, 4)], 4)
+    adj = path_adjacency(4)
     tau = 5
-    spatial = gr.build_multiscale(g, scales=2)
-    tiled = tiled_multiscale(g, scales=2, tau=tau)
+    spatial = gr.build_multiscale(adj, scales=2)
+    tiled = tiled_multiscale(adj, scales=2, tau=tau)
     rng = np.random.default_rng(5)
     window = rng.standard_normal((tau * 4, 3))
     for m in range(3):

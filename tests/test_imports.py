@@ -1,5 +1,5 @@
 """Every module of the package and of the tests uses each name it imports,
-and the package defines nothing that only the tests name."""
+and the package defines nothing that only the tests name or read."""
 
 import ast
 import importlib
@@ -56,12 +56,13 @@ def test_unused_imports_finds_what_it_should(source, unused):
 
 def names_read(source: str) -> set[str]:
     """Every name `source` reads: a variable, an attribute, or a string,
-    which covers getattr, tracing by name and `__all__`."""
+    which covers getattr, tracing by name and `__all__`. Binding a name is
+    no read of it."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
@@ -93,8 +94,28 @@ def overrides(module_name: str, qualname: str) -> bool:
     return any(method in vars(base) for base in cls.__mro__[1:])
 
 
+def unread_module_names(source: str, used: set[str]) -> list[str]:
+    """The names that module-level assignments of `source` bind and that are
+    not in `used`; Python itself reads dunder names such as `__all__`."""
+    unread = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                        and name.id not in used
+                        and not (name.id.startswith("__") and name.id.endswith("__"))):
+                    unread.append(name.id)
+    return unread
+
+
+def names_the_program_reads() -> set[str]:
+    return set().union(*(names_read(path.read_text()) for path in [*PACKAGE, *BENCHMARKS]))
+
+
 def test_package_defines_nothing_only_tests_name():
-    used = set().union(*(names_read(path.read_text()) for path in [*PACKAGE, *BENCHMARKS]))
+    used = names_the_program_reads()
     unnamed = [f"{path.name}: {qualname}" for path in PACKAGE
                for qualname in unnamed_definitions(path.read_text(), used)
                if not overrides(f"wogma.{path.stem}", qualname)]
@@ -110,3 +131,28 @@ def test_package_defines_nothing_only_tests_name():
 ], ids=["unnamed", "called", "method", "by-string", "all"])
 def test_unnamed_definitions_finds_what_it_should(source, unnamed):
     assert unnamed_definitions(source, names_read(source)) == unnamed
+
+
+def test_package_module_level_names_are_read():
+    used = names_the_program_reads()
+    unread = [f"{path.stem}.{name}" for path in PACKAGE
+              for name in unread_module_names(path.read_text(), used)]
+    assert not unread, f"read only by tests, or by nothing: {', '.join(unread)}"
+
+
+@pytest.mark.parametrize("source, unread", [
+    ("X = 1\n", ["X"]),
+    ("X = 1\nprint(X)\n", []),
+    ("import m\nm.X = 1\nX = 2\n", ["X"]),
+    ("a, (b, c) = 1, (2, 3)\nb\n", ["a", "c"]),
+    ("X: int = 1\n", ["X"]),
+    ("X = {}\nX['k'] = 1\n", []),
+    ("X = 1\ndef f():\n    Y = X\n", []),
+    ("def f():\n    Y = 1\n", []),
+    ("X = 1\ngetattr(m, 'X')\n", []),
+    ("__all__ = []\n__version__ = '1'\n", []),
+    ("X = [0 for _ in 'ab']\nX\n", []),
+], ids=["unread", "read", "attribute-store", "tuple", "annotated", "subscript-store",
+        "read-in-function", "function-local", "by-string", "dunder", "comprehension"])
+def test_unread_module_names_finds_what_it_should(source, unread):
+    assert unread_module_names(source, names_read(source)) == unread

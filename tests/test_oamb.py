@@ -140,12 +140,12 @@ def test_prefix_video_prob_full_equals_total():
     full = oamb.prefix_video_prob(rows, 9, kappa=3)
     head = rows[:, 1]
     order = np.argsort(-head, kind="stable")
-    assert full[0] == pytest.approx(head[order[:3]].mean())
+    assert full == pytest.approx(head[order[:3]].mean())
 
 
 def test_prefix_video_prob_single_clip():
     rows = np.array([[0.3, 0.7], [0.6, 0.4]])
-    assert oamb.prefix_video_prob(rows, 1, kappa=8)[0] == pytest.approx(0.7)
+    assert oamb.prefix_video_prob(rows, 1, kappa=8) == pytest.approx(0.7)
 
 
 def test_prefix_video_prob_ignores_later_clips():
@@ -154,9 +154,8 @@ def test_prefix_video_prob_ignores_later_clips():
     feats = rng.standard_normal((10, 5))
     rows = branch.stream(feats)
     truncated = branch.stream(feats[:4])
-    np.testing.assert_array_equal(
-        oamb.prefix_video_prob(rows, 4, kappa=8),
-        oamb.prefix_video_prob(truncated, 4, kappa=8))
+    assert (oamb.prefix_video_prob(rows, 4, kappa=8)
+            == oamb.prefix_video_prob(truncated, 4, kappa=8))
 
 
 def test_prefix_video_prob_range_check():

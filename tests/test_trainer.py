@@ -152,7 +152,7 @@ def test_joint_loss_ablate_pseudo_drops_frame_term():
 def test_ablate_flags_change_parameter_counts():
     full = micro_model()
     no_local = micro_model(ablate_local=True)
-    no_longrange = micro_model(ablate_longrange=True)
+    no_longrange = micro_model(conv_layers=0)
     assert set(no_local.params) != set(full.params)
     assert not any(n.startswith("lfem.g3d") for n in no_local.params)
     assert "lfem.proj_w" in no_local.params

@@ -51,10 +51,11 @@ def collapse_window(x, w) -> DTensor:
     return out
 
 
-def tiled_multiscale(graph, scales, tau):
-    """Normalised (tau*N, tau*N) window matrix of each scale 0..scales."""
+def tiled_multiscale(adjacency, scales, tau):
+    """Normalised (tau*N, tau*N) window matrix of each scale 0..scales of the
+    (N, N) 0/1 adjacency."""
     return tuple(gr.normalize(tile_window(m, tau))
-                 for m in gr.disentangle_multiscale(graph.adjacency, scales))
+                 for m in gr.disentangle_multiscale(adjacency, scales))
 
 
 def g3d_conv(clip, tiled, thetas):
