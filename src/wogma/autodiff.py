@@ -323,51 +323,29 @@ def add(a, b) -> DTensor:
     return out
 
 
-def scale(x, k: float) -> DTensor:
+def one_minus(x) -> DTensor:
+    """1 - x; bitwise the (-x) + 1 of a negation then a constant shift."""
     x = _as_tensor(x)
-    out = DTensor(x.values * k, requires_grad=_needs(x))
+    out = DTensor(1.0 - x.values, requires_grad=_needs(x))
 
     def pull(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.ensure_grad()[...] += g * k
+            x.ensure_grad()[...] += -g
 
     _record(out, pull)
     return out
 
 
-def add_const(x, k: float) -> DTensor:
+def neg_log(x, lo: float) -> DTensor:
+    """-log(max(x, lo)), the clamped negative log of a loss head; the
+    gradient is zero where the clamp is active."""
     x = _as_tensor(x)
-    out = DTensor(x.values + k, requires_grad=_needs(x))
+    kept = np.maximum(x.values, lo)
+    out = DTensor(-np.log(kept), requires_grad=_needs(x))
 
     def pull(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.ensure_grad()[...] += g
-
-    _record(out, pull)
-    return out
-
-
-def log(x) -> DTensor:
-    """Natural log; callers must keep inputs positive (clip_min first)."""
-    x = _as_tensor(x)
-    out = DTensor(np.log(x.values), requires_grad=_needs(x))
-
-    def pull(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[...] += g / x.values
-
-    _record(out, pull)
-    return out
-
-
-def clip_min(x, lo: float) -> DTensor:
-    """max(x, lo); the gradient is zero where the clamp is active."""
-    x = _as_tensor(x)
-    out = DTensor(np.maximum(x.values, lo), requires_grad=_needs(x))
-
-    def pull(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[...] += g * (x.values > lo)
+            x.ensure_grad()[...] += (-g / kept) * (x.values > lo)
 
     _record(out, pull)
     return out

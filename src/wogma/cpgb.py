@@ -85,8 +85,8 @@ def binary_cross_entropy(prob: DTensor, labels: np.ndarray) -> DTensor:
     -[y log p + (1 - y) log(1 - p)] (tests/tape_oracle.py).
     """
     if labels[0] == 0:
-        prob = ad.add_const(ad.scale(prob, -1.0), 1.0)
-    return ad.scale(ad.log(ad.clip_min(prob, PROB_EPS)), -1.0)
+        prob = ad.one_minus(prob)
+    return ad.neg_log(prob, PROB_EPS)
 
 
 def mil_loss(scores: DTensor, labels: np.ndarray, kappa: int) -> tuple[DTensor, float]:

@@ -1,7 +1,7 @@
 """Skeleton sequence I/O, preprocessing, and the synthetic dataset generator.
 
 Sequences are stored as JSONL, one object per line:
-  video_id     a string;
+  video_id     a string that encodes as UTF-8 (no lone surrogate);
   fps          a finite number above 0;
   label        the integer 1 if the video shows the action (fidgety
                movements), else 0;
@@ -167,6 +167,13 @@ def load_sequences(path) -> list[SkeletonSequence]:
             raw_segments = obj.get("gt_segments")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{where}: {exc}") from exc
+        try:
+            video_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # a JSON escape such as "\ud800" decodes to a lone surrogate,
+            # which no output file can hold
+            raise DataFormatError(f"{where}: video_id {video_id!r} is not UTF-8 text: "
+                                  f"{exc.reason}") from exc
         check_frames(frames, where)
         if not (math.isfinite(fps) and fps > 0.0):
             raise DataFormatError(f"{where}: fps must be finite and above 0, got {fps}")

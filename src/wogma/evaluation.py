@@ -136,8 +136,9 @@ class VideoResult:
     timeline: np.ndarray                       # (L, 2) causal probabilities
     video_prob: float
     instances: list[DetectionInstance]
-    gt_segments: list[tuple[int, int, int]] | None   # as the dataset holds them
-    max_frames: float = math.inf   # the frames the model saw; inf cuts no segment
+    # the ground truth inside the frames the model saw, which may be none of
+    # it; None for a video without segments, whose detections go unscored
+    gt_segments: list[tuple[int, int, int]] | None
 
 
 @dataclass
@@ -175,10 +176,11 @@ def score_videos(model: ActionDetector, dataset: list[SkeletonSequence],
         timeline = model.infer_timeline(clips)
         prob = prefix_video_prob(timeline, timeline.shape[0], model.config.kappa)
         instances = extract_instances(timeline, instance_threshold, model.windowing)
+        segments = (visible_segments(seq.gt_segments, model.config.max_frames)
+                    if seq.gt_segments else None)
         results.append(VideoResult(video_id=seq.video_id, label=int(seq.labels[0]),
                                    timeline=timeline, video_prob=prob,
-                                   instances=instances, gt_segments=seq.gt_segments,
-                                   max_frames=model.config.max_frames))
+                                   instances=instances, gt_segments=segments))
     return results
 
 
@@ -211,9 +213,9 @@ def build_report(results: list[VideoResult], fractions, kappa: int) -> EvalRepor
     predictions: list[ScoredSegment] = []
     gt: list[ScoredSegment] = []
     for r in results:
-        if not r.gt_segments:
+        if r.gt_segments is None:
             continue   # detection is scored on annotated videos only
-        for s, e, _ in visible_segments(r.gt_segments, r.max_frames):
+        for s, e, _ in r.gt_segments:
             gt.append(ScoredSegment(video_id=r.video_id, start=s, end=e))
         for inst in r.instances:
             predictions.append(ScoredSegment(video_id=r.video_id, start=inst.start_frame,

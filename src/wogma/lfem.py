@@ -69,15 +69,12 @@ class LocalFeatureExtractor:
                  in_channels: int, gcn_channels: int, gcn_layers: int, feature_dim: int,
                  ablate_local: bool, rng: np.random.Generator | None):
         self.adjacency = adjacency
-        self.joints = joints
         self.tau = tau
-        self.in_channels = in_channels
-        self.feature_dim = feature_dim
         self.ablate_local = ablate_local
         self.params: dict[str, Parameter] = {}
 
         if ablate_local:
-            flat = self.tau * joints * in_channels
+            flat = tau * joints * in_channels
             self._add(ad.init_uniform(rng, (flat, feature_dim), flat, "lfem.proj_w"))
             self._add(ad.init_zeros((feature_dim,), "lfem.proj_b"))
             return
@@ -92,8 +89,8 @@ class LocalFeatureExtractor:
                 layer_thetas.append(self._add(p))
             self.thetas.append(layer_thetas)
             width = gcn_channels
-        self._add(ad.init_uniform(rng, (gcn_channels, self.tau, gcn_channels),
-                                  gcn_channels * self.tau, "lfem.collapse"))
+        self._add(ad.init_uniform(rng, (gcn_channels, tau, gcn_channels),
+                                  gcn_channels * tau, "lfem.collapse"))
         agg_in = joints * gcn_channels
         self._add(ad.init_uniform(rng, (agg_in, feature_dim), agg_in, "lfem.agg_w"))
         self._add(ad.init_zeros((feature_dim,), "lfem.agg_b"))
@@ -123,7 +120,7 @@ class LocalFeatureExtractor:
             flat = DTensor(clips.reshape(count, -1))
             return ad.affine(flat, self.params["lfem.proj_w"], self.params["lfem.proj_b"])
 
-        x = ad.scale(ad.reduce_sum(DTensor(clips), axis=1), 1.0 / self.tau)  # (L, N, C)
+        x = DTensor(clips.sum(axis=1) * (1.0 / self.tau))   # (L, N, C) mean pose
         for layer_thetas in self.thetas:
             total = None
             for mat, theta in zip(self.adjacency, layer_thetas):

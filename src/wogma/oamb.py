@@ -42,7 +42,6 @@ class OnlineBranch:
     """LSTM over clip features plus an affine scoring head."""
 
     def __init__(self, feature_dim: int, hidden: int, rng: np.random.Generator | None):
-        self.feature_dim = feature_dim
         self.hidden = hidden
         self.params: dict[str, Parameter] = {}
         gate_fan = feature_dim + hidden
@@ -102,15 +101,15 @@ class OnlineBranch:
 
 
 def frame_loss(timeline: DTensor, pseudo_labels: np.ndarray) -> DTensor:
-    """Mean cross-entropy of timeline rows against one-hot pseudo labels."""
+    """Mean cross-entropy of timeline rows against one-hot pseudo labels:
+    the mean of -log of each row's labelled entry, clamped at PROB_EPS."""
     labels = np.asarray(pseudo_labels, dtype=np.intp)
     count = timeline.values.shape[0]
     if labels.shape != (count,):
         raise ad.ShapeError(
             f"frame_loss: {labels.shape[0]} labels for {count} timeline rows")
-    picked = ad.take_entries(ad.log(ad.clip_min(timeline, PROB_EPS)),
-                             np.arange(count), labels)
-    return ad.scale(ad.reduce_mean(picked), -1.0)
+    picked = ad.take_entries(timeline, np.arange(count), labels)
+    return ad.reduce_mean(ad.neg_log(picked, PROB_EPS))
 
 
 def mil_loss_online(timeline: DTensor, labels: np.ndarray,

@@ -8,8 +8,13 @@ criterion 1 checks the gradients of tanh, softmax and lstm_cell. softmax
 runs ad._softmax_vals, the kernel of ad.lstm_timeline's head, so the
 per-step form can equal the one-node timeline bitwise. The gates' sigmoid
 is the two-branch form below, not ad._sigmoid_vals, so the per-step form
-checks that kernel's bits instead of sharing them. The two-term binary
-cross-entropy is the oracle for cpgb.binary_cross_entropy.
+checks that kernel's bits instead of sharing them.
+
+The scalar multiple, the constant shift, the log and the lower clamp are
+the chain that ad.neg_log and ad.one_minus each record as one node: the
+two-term binary cross-entropy built from them is the oracle for
+cpgb.binary_cross_entropy, and chain_frame_loss the one for
+oamb.frame_loss.
 """
 
 from __future__ import annotations
@@ -66,17 +71,85 @@ def mul(a, b) -> DTensor:
     return out
 
 
+def scale(x, k: float) -> DTensor:
+    x = ad._as_tensor(x)
+    out = DTensor(x.values * k, requires_grad=ad._needs(x))
+
+    def pull(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x.ensure_grad()[...] += g * k
+
+    ad._record(out, pull)
+    return out
+
+
+def add_const(x, k: float) -> DTensor:
+    x = ad._as_tensor(x)
+    out = DTensor(x.values + k, requires_grad=ad._needs(x))
+
+    def pull(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x.ensure_grad()[...] += g
+
+    ad._record(out, pull)
+    return out
+
+
+def log(x) -> DTensor:
+    """Natural log; callers keep inputs positive (clip_min first)."""
+    x = ad._as_tensor(x)
+    out = DTensor(np.log(x.values), requires_grad=ad._needs(x))
+
+    def pull(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x.ensure_grad()[...] += g / x.values
+
+    ad._record(out, pull)
+    return out
+
+
+def clip_min(x, lo: float) -> DTensor:
+    """max(x, lo); the gradient is zero where the clamp is active."""
+    x = ad._as_tensor(x)
+    out = DTensor(np.maximum(x.values, lo), requires_grad=ad._needs(x))
+
+    def pull(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x.ensure_grad()[...] += g * (x.values > lo)
+
+    ad._record(out, pull)
+    return out
+
+
+def chain_neg_log(x, lo: float) -> DTensor:
+    """ad.neg_log as three nodes: clamp, log, negate."""
+    return scale(log(clip_min(x, lo)), -1.0)
+
+
+def chain_one_minus(x) -> DTensor:
+    """ad.one_minus as two nodes: negate, then add 1."""
+    return add_const(scale(x, -1.0), 1.0)
+
+
+def chain_frame_loss(timeline, labels) -> DTensor:
+    """oamb.frame_loss as the negated mean of the picked entries of the
+    clamped log of every timeline entry."""
+    count = ad._as_tensor(timeline).values.shape[0]
+    picked = ad.take_entries(log(clip_min(timeline, PROB_EPS)), np.arange(count), labels)
+    return scale(ad.reduce_mean(picked), -1.0)
+
+
 def two_term_binary_cross_entropy(probs, labels) -> DTensor:
     """-[y log p + (1 - y) log(1 - p)], summed over entries, with both
     probabilities clamped at cpgb.PROB_EPS and `labels` of the shape of
     `probs`: the soft-label form that cpgb.binary_cross_entropy must equal
     bitwise for y in {0, 1}."""
     y = np.asarray(labels, dtype=np.float64)
-    log_p = ad.log(ad.clip_min(probs, PROB_EPS))
-    log_not_p = ad.log(ad.clip_min(ad.add_const(ad.scale(probs, -1.0), 1.0), PROB_EPS))
+    log_p = log(clip_min(probs, PROB_EPS))
+    log_not_p = log(clip_min(chain_one_minus(probs), PROB_EPS))
     pos = mul(DTensor(y), log_p)
     neg = mul(DTensor(1.0 - y), log_not_p)
-    return ad.scale(ad.reduce_sum(ad.add(pos, neg)), -1.0)
+    return scale(ad.reduce_sum(ad.add(pos, neg)), -1.0)
 
 
 def tanh(x) -> DTensor:

@@ -11,12 +11,14 @@ from hypothesis.extra import numpy as hnp
 
 from wogma import autodiff as ad
 from wogma.autodiff import DTensor, Tape
+from wogma.cpgb import PROB_EPS
 from wogma.errors import ConfigurationError, NumericalError
 from wogma.oamb import OnlineBranch
 import grad_oracle
 from grad_oracle import grad_check
 from lstm_oracle import per_step_node, per_step_timeline
-from tape_oracle import lstm_cell, masked_sigmoid_vals, mul, softmax, tanh
+from tape_oracle import (add_const, chain_neg_log, chain_one_minus, lstm_cell,
+                         masked_sigmoid_vals, mul, scale, softmax, tanh)
 from tiled_oracle import collapse_window
 
 
@@ -456,19 +458,66 @@ def test_softmax_cross_entropy_composite_gradient():
     labels = rng.integers(0, 3, size=6)
 
     def ce(z):
-        probs = ad.clip_min(softmax(z), 1e-7)
-        picked = ad.take_entries(ad.log(probs), np.arange(6), labels)
-        return ad.scale(ad.reduce_mean(picked), -1.0)
+        picked = ad.take_entries(softmax(z), np.arange(6), labels)
+        return ad.reduce_mean(ad.neg_log(picked, 1e-7))
 
     assert grad_check(ce, [logits], h=1e-6) < 1e-6
+
+
+def projected_on_tape(fn, x, probe):
+    """(values, d <fn(x), probe> / dx, tape nodes of fn) for the vector x."""
+    t = DTensor(np.array(x), requires_grad=True)
+    with Tape() as tape:
+        out = fn(t)
+        nodes = len(tape)
+        loss = ad.reduce_sum(mul(out, DTensor(np.array(probe))))
+    tape.backward(loss)
+    return out.values, t.grad, nodes
+
+
+# each entry is (x, upstream gradient); the explicit x values are the clamp,
+# below it, on it, inside, 1 - x below it, and the top
+UNIT_POINTS = [(0.0, 1.0), (1e-9, 1.0), (PROB_EPS, 1.0), (0.3, 1.0),
+               (1.0 - 1e-12, 1.0), (1.0, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-2.0, 2.0)),
+                      min_size=1, max_size=6))
+@example(pairs=UNIT_POINTS)
+@example(pairs=[(x, -0.5) for x, _ in UNIT_POINTS])
+@example(pairs=[(x, 0.0) for x, _ in UNIT_POINTS])
+def test_neg_log_equals_clamp_log_negate_chain_bitwise(pairs):
+    x, probe = zip(*pairs)
+    value, grad, nodes = projected_on_tape(lambda t: ad.neg_log(t, PROB_EPS), x, probe)
+    want_value, want_grad, want_nodes = projected_on_tape(
+        lambda t: chain_neg_log(t, PROB_EPS), x, probe)
+    assert value.tobytes() == want_value.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert (nodes, want_nodes) == (1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.floats(-1e100, 1e100), st.floats(-2.0, 2.0)),
+                      min_size=1, max_size=6))
+@example(pairs=UNIT_POINTS)
+@example(pairs=[(x, 0.0) for x, _ in UNIT_POINTS])
+@example(pairs=[(-0.0, 1.0), (1e100, -1.0), (-1e-300, 0.5)])
+def test_one_minus_equals_negate_add_one_chain_bitwise(pairs):
+    x, probe = zip(*pairs)
+    value, grad, nodes = projected_on_tape(ad.one_minus, x, probe)
+    want_value, want_grad, want_nodes = projected_on_tape(chain_one_minus, x, probe)
+    assert value.tobytes() == want_value.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert (nodes, want_nodes) == (1, 2)
 
 
 def test_fanout_accumulates_gradients():
     # d(f(x)+g(x))/dx = df/dx + dg/dx exactly
     x = DTensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
     with Tape() as tape:
-        doubled = ad.scale(x, 2.0)
-        tripled = ad.scale(x, 3.0)
+        doubled = scale(x, 2.0)
+        tripled = scale(x, 3.0)
         loss = ad.reduce_sum(ad.add(doubled, tripled))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full(3, 5.0))
@@ -477,8 +526,8 @@ def test_fanout_accumulates_gradients():
 def test_dead_branch_is_skipped():
     x = DTensor(np.array([1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
-        unused = ad.scale(x, 10.0)  # noqa: F841 - intentionally dead
-        loss = ad.reduce_sum(ad.scale(x, 2.0))
+        unused = scale(x, 10.0)  # noqa: F841 - intentionally dead
+        loss = ad.reduce_sum(scale(x, 2.0))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full(2, 2.0))
 
@@ -503,7 +552,7 @@ def test_no_nan_inf_from_primitives_on_finite_input():
 def test_backward_requires_scalar():
     x = DTensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        y = ad.scale(x, 2.0)
+        y = scale(x, 2.0)
     with pytest.raises(ad.ShapeError):
         tape.backward(y)
 
@@ -544,7 +593,7 @@ def test_grad_check_resolves_tiny_gradients():
     # the gradient is 1e-9 * probe on an O(1) output: a float64 central
     # difference at h = 1e-6 is off by ~3e-3 relative, a longdouble one by ~2e-6
     def fn(t):
-        return ad.add_const(ad.scale(t, 1e-9), 1.0)
+        return add_const(scale(t, 1e-9), 1.0)
 
     x = np.random.default_rng(0).standard_normal(3)
     assert grad_check(fn, [x], h=1e-6) < 1e-5
@@ -552,7 +601,7 @@ def test_grad_check_resolves_tiny_gradients():
 
 def test_grad_check_rejects_precision_drop():
     def fn(t):
-        return ad.scale(DTensor(np.asarray(t.values, dtype=np.float64)), 2.0)
+        return scale(DTensor(np.asarray(t.values, dtype=np.float64)), 2.0)
 
     with pytest.raises(NumericalError, match="dropped the extended precision"):
         grad_check(fn, [np.ones(2)])

@@ -228,6 +228,29 @@ def test_eval_non_utf8_dataset_exits_two(tmp_path, capsys):
     assert f"data error: {data}: not UTF-8 text at or after line " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("eval", ["report.json", "early_curve.csv", "timelines.csv"]),
+    ("detect", ["instances.json"]),
+])
+def test_video_id_with_a_lone_surrogate_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                                    command, outputs):
+    # "\ud800" is a valid JSON escape, but no UTF-8 file can hold the id
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, n_videos=2)
+    first, second = data.read_text().splitlines()
+    data.write_text(json.dumps({**json.loads(first), "video_id": "bad\ud800id"})
+                    + "\n" + second + "\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--checkpoint", checkpoint, "--data", data,
+                    "--out-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"data error: {data}:1: video_id 'bad\\ud800id' is not UTF-8 text" in captured.err
+    assert not [name for name in outputs if (out / name).exists()]
+
+
 def test_eval_empty_dataset_exits_two(tmp_path, capsys):
     # no videos to score: no NaN report, as train rejects an empty training set
     checkpoint = tmp_path / "ck.bin"

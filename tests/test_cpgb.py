@@ -207,7 +207,7 @@ def test_binary_cross_entropy_equals_two_term_oracle_bitwise(p, label):
     assert loss.shape == want_loss.shape == grad.shape == ()
     assert loss.tobytes() == want_loss.tobytes()
     assert grad.tobytes() == want_grad.tobytes()
-    assert nodes == (3 if label == 1 else 5)
+    assert nodes == (1 if label == 1 else 2)
 
 
 def test_pseudo_labels_video_below_class_threshold():

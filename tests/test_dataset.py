@@ -123,9 +123,13 @@ def test_sequence_built_in_code_needs_one_zero_or_one_label(labels):
     ("fps", "inf", "fps must be finite and above 0"),
     ("fps", 0, "fps must be finite and above 0"),
     ("fps", -20.0, "fps must be finite and above 0"),
+    # valid JSON escapes of lone surrogates, which no UTF-8 output file can hold
+    ("video_id", "bad\ud800id", "video_id .* is not UTF-8 text"),
+    ("video_id", "\udfff", "video_id .* is not UTF-8 text"),
 ], ids=["floats", "float-start", "bool", "one-value", "four-values", "flat", "string",
         "start-negative", "start-zero", "start-after-end", "end-past-last-frame", "class-zero",
-        "class-two", "fps-nan", "fps-inf", "fps-zero", "fps-negative"])
+        "class-two", "fps-nan", "fps-inf", "fps-zero", "fps-negative", "video-id-high-surrogate",
+        "video-id-low-surrogate"])
 def test_bad_segments_or_fps_rejected_naming_line(tmp_path, key, value, message):
     path = tmp_path / "d.jsonl"
     ds.save_sequences(path, [tiny_sequence(), tiny_sequence()])

@@ -1,5 +1,6 @@
 """Every module of the package and of the tests uses each name it imports,
-and the package defines nothing that only the tests name or read."""
+and the package defines, binds or sets nothing that only the tests name or
+read."""
 
 import ast
 import importlib
@@ -54,13 +55,13 @@ def test_unused_imports_finds_what_it_should(source, unused):
     assert unused_imports(source) == unused
 
 
-def names_read(source: str) -> set[str]:
-    """Every name `source` reads: a variable, an attribute, or a string,
-    which covers getattr, tracing by name and `__all__`. Binding a name is
-    no read of it."""
+def names_read(source: str, variables: bool = True) -> set[str]:
+    """Every name `source` reads: a variable (unless `variables` is false),
+    an attribute, or a string, which covers getattr, tracing by name and
+    `__all__`. Binding a name is no read of it."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if variables and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
@@ -110,8 +111,9 @@ def unread_module_names(source: str, used: set[str]) -> list[str]:
     return unread
 
 
-def names_the_program_reads() -> set[str]:
-    return set().union(*(names_read(path.read_text()) for path in [*PACKAGE, *BENCHMARKS]))
+def names_the_program_reads(variables: bool = True) -> set[str]:
+    return set().union(*(names_read(path.read_text(), variables)
+                         for path in [*PACKAGE, *BENCHMARKS]))
 
 
 def test_package_defines_nothing_only_tests_name():
@@ -156,3 +158,48 @@ def test_package_module_level_names_are_read():
         "read-in-function", "function-local", "by-string", "dunder", "comprehension"])
 def test_unread_module_names_finds_what_it_should(source, unread):
     assert unread_module_names(source, names_read(source)) == unread
+
+
+def unread_attributes(source: str, used: set[str]) -> list[str]:
+    """The names that `self.<name> = ...` assignments of `source` set and
+    that are not in `used`, in source order; Python itself reads dunder
+    names. A variable of the same name is no read of the attribute, so
+    `used` holds the attributes and strings a program reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            for attr in ast.walk(target):
+                if (isinstance(attr, ast.Attribute) and isinstance(attr.ctx, ast.Store)
+                        and isinstance(attr.value, ast.Name) and attr.value.id == "self"
+                        and attr.attr not in used
+                        and not (attr.attr.startswith("__") and attr.attr.endswith("__"))):
+                    unread.append(attr.attr)
+    return unread
+
+
+def test_package_attributes_are_read():
+    used = names_the_program_reads(variables=False)
+    unread = [f"{path.stem}: self.{name}" for path in PACKAGE
+              for name in unread_attributes(path.read_text(), used)]
+    assert not unread, f"set but read only by tests, or by nothing: {', '.join(unread)}"
+
+
+METHOD = "class A:\n    def __init__(self, o):\n        "
+
+
+@pytest.mark.parametrize("source, unread", [
+    (METHOD + "self.x = 1\n", ["x"]),
+    (METHOD + "self.x = 1\n    def f(self):\n        return self.x\n", []),
+    (METHOD + "self.x = 1\ngetattr(A(0), 'x')\n", []),
+    (METHOD + "self.a, (self.b, self.c) = 1, (2, 3)\n        self.b\n", ["a", "c"]),
+    (METHOD + "self.x: int = 1\n", ["x"]),
+    (METHOD + "o.x = 1\n", []),
+    (METHOD + "self.d = {}\n        self.d['k'] = 1\n", []),
+    (METHOD + "self.o = o\n", ["o"]),
+    (METHOD + "self.__doc__ = ''\n", []),
+], ids=["unread", "read", "by-string", "tuple", "annotated", "other-object",
+        "subscript-store", "variable", "dunder"])
+def test_unread_attributes_finds_what_it_should(source, unread):
+    assert unread_attributes(source, names_read(source, variables=False)) == unread

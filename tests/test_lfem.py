@@ -14,8 +14,12 @@ def path_graph(n=3):
     return np.eye(n, k=1) + np.eye(n, k=-1)
 
 
-def make_extractor(tau=4, scales=2, joints=3, in_channels=2, gcn_channels=4,
-                   feature_dim=6, gcn_layers=1, ablate_local=False, seed=0):
+# make_extractor's defaults, which the tests read back
+JOINTS, IN_CHANNELS, FEATURE_DIM = 3, 2, 6
+
+
+def make_extractor(tau=4, scales=2, joints=JOINTS, in_channels=IN_CHANNELS, gcn_channels=4,
+                   feature_dim=FEATURE_DIM, gcn_layers=1, ablate_local=False, seed=0):
     adjacency = gr.build_multiscale(path_graph(joints), scales=scales)
     rng = np.random.default_rng(seed)
     return lfem.LocalFeatureExtractor(adjacency, tau=tau, joints=joints,
@@ -26,7 +30,7 @@ def make_extractor(tau=4, scales=2, joints=3, in_channels=2, gcn_channels=4,
 
 def tiled_of(ex):
     """The tiled window matrices behind `make_extractor`'s extractor."""
-    return tiled_multiscale(path_graph(ex.joints), len(ex.adjacency) - 1, ex.tau)
+    return tiled_multiscale(path_graph(JOINTS), len(ex.adjacency) - 1, ex.tau)
 
 
 def test_clip_count_paper_defaults():
@@ -67,14 +71,14 @@ def test_g3d_identity_graph_identity_weights():
 
 def test_g3d_zero_input_zero_output():
     ex = make_extractor()
-    clip = DTensor(np.zeros((ex.tau * ex.joints, ex.in_channels)))
+    clip = DTensor(np.zeros((ex.tau * JOINTS, IN_CHANNELS)))
     out = g3d_conv(clip, tiled_of(ex), ex.thetas[0])
     np.testing.assert_array_equal(out.values, 0.0)
 
 
 def test_g3d_scale_count_mismatch():
     ex = make_extractor(scales=2)
-    clip = DTensor(np.zeros((ex.tau * ex.joints, ex.in_channels)))
+    clip = DTensor(np.zeros((ex.tau * JOINTS, IN_CHANNELS)))
     with pytest.raises(ConfigurationError):
         g3d_conv(clip, tiled_of(ex), ex.thetas[0][:2])
 
@@ -127,21 +131,21 @@ def test_collapse_time_gradient():
 
 def test_aggregate_zero_input_zero_output():
     ex = make_extractor()
-    out = ex.aggregate_joints(DTensor(np.zeros((5, ex.joints, 4))))
+    out = ex.aggregate_joints(DTensor(np.zeros((5, JOINTS, 4))))
     np.testing.assert_array_equal(out.values, 0.0)
 
 
 def test_extract_row_count_and_shape():
     ex = make_extractor()
-    clips = np.random.default_rng(7).standard_normal((5, ex.tau, ex.joints, 2))
+    clips = np.random.default_rng(7).standard_normal((5, ex.tau, JOINTS, IN_CHANNELS))
     out = ex.extract(clips)
-    assert out.values.shape == (5, ex.feature_dim)
+    assert out.values.shape == (5, FEATURE_DIM)
 
 
 def test_extract_locality():
     ex = make_extractor()
     rng = np.random.default_rng(8)
-    clips = rng.standard_normal((4, ex.tau, ex.joints, 2))
+    clips = rng.standard_normal((4, ex.tau, JOINTS, IN_CHANNELS))
     base = ex.extract(clips).values
     edited = clips.copy()
     edited[2] += rng.standard_normal(edited[2].shape)
@@ -155,7 +159,7 @@ def test_extract_locality():
 def test_extract_identical_clips_identical_rows():
     ex = make_extractor()
     rng = np.random.default_rng(9)
-    one = rng.standard_normal((1, ex.tau, ex.joints, 2))
+    one = rng.standard_normal((1, ex.tau, JOINTS, IN_CHANNELS))
     clips = np.repeat(one, 3, axis=0)
     out = ex.extract(clips).values
     np.testing.assert_array_equal(out[0], out[1])
@@ -165,7 +169,7 @@ def test_extract_identical_clips_identical_rows():
 def test_extract_permuting_clips_permutes_rows():
     ex = make_extractor()
     rng = np.random.default_rng(10)
-    clips = rng.standard_normal((5, ex.tau, ex.joints, 2))
+    clips = rng.standard_normal((5, ex.tau, JOINTS, IN_CHANNELS))
     perm = np.array([3, 0, 4, 1, 2])
     base = ex.extract(clips).values
     shuffled = ex.extract(clips[perm]).values
@@ -177,7 +181,7 @@ def test_extract_matches_dense_tiled_path(layers):
     # sequential clip-at-a-time oracle through the literal tiled matrices
     ex = make_extractor(gcn_layers=layers)
     rng = np.random.default_rng(11)
-    clips = rng.standard_normal((4, ex.tau, ex.joints, 2))
+    clips = rng.standard_normal((4, ex.tau, JOINTS, IN_CHANNELS))
     fast = ex.extract(clips).values
     dense = extract_dense(ex, tiled_of(ex), clips).values
     np.testing.assert_allclose(fast, dense, rtol=1e-10, atol=1e-12)
@@ -186,7 +190,7 @@ def test_extract_matches_dense_tiled_path(layers):
 def test_extract_ablate_local_is_affine_projection():
     ex = make_extractor(ablate_local=True)
     rng = np.random.default_rng(12)
-    clips = rng.standard_normal((3, ex.tau, ex.joints, 2))
+    clips = rng.standard_normal((3, ex.tau, JOINTS, IN_CHANNELS))
     out = ex.extract(clips).values
     w = ex.params["lfem.proj_w"].values
     b = ex.params["lfem.proj_b"].values
@@ -200,7 +204,7 @@ def test_extract_gradient_micro_instance():
     ex = make_extractor(tau=4, scales=2, joints=3, in_channels=2,
                         gcn_channels=3, feature_dim=4)
     rng = np.random.default_rng(13)
-    clips = rng.standard_normal((2, ex.tau, ex.joints, 2))
+    clips = rng.standard_normal((2, ex.tau, JOINTS, IN_CHANNELS))
     names = sorted(ex.params)
 
     # rebind parameters through grad_check inputs

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wogma import autodiff as ad
 from wogma import oamb
-from wogma.autodiff import DTensor
+from wogma.autodiff import DTensor, Tape
+from wogma.cpgb import PROB_EPS
 from wogma.lfem import ClipWindowing
 from grad_oracle import grad_check
-from tape_oracle import softmax
+from tape_oracle import chain_frame_loss, softmax
 
 
 def make_branch(feature_dim=5, hidden=8, seed=0):
@@ -104,6 +106,46 @@ def test_frame_loss_gradient_through_softmax():
         return oamb.frame_loss(softmax(z), labels)
 
     assert grad_check(fn, [logits], h=1e-6) < 1e-6
+
+
+# the clamp, below it, on it, inside, 1 - p below it, and the top
+EDGE_PROBS = [0.0, 1e-9, PROB_EPS, 0.3, 1.0 - 1e-12, 1.0]
+
+
+@st.composite
+def timelines_and_labels(draw):
+    """(L, 2) entries in [0, 1], L pseudo labels, and the gradient another
+    loss left on the timeline, with no -0.0 in it."""
+    count = draw(st.integers(1, 8))
+    entries = st.sampled_from(EDGE_PROBS) | st.floats(0.0, 1.0)
+    probs = draw(hnp.arrays(np.float64, (count, 2), elements=entries))
+    labels = draw(hnp.arrays(np.intp, count, elements=st.integers(0, 1)))
+    prior = draw(hnp.arrays(np.float64, (count, 2),
+                            elements=st.floats(-1.0, 1.0).map(lambda v: v + 0.0)))
+    return probs, labels, prior
+
+
+def frame_loss_on_tape(loss_fn, probs, labels, prior):
+    timeline = DTensor(probs.copy(), requires_grad=True)
+    timeline.grad = prior.copy()
+    with Tape() as tape:
+        loss = loss_fn(timeline, labels)
+    tape.backward(loss)
+    return loss.values, timeline.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=timelines_and_labels())
+@example(case=(np.ones((3, 2)), np.array([0, 1, 0]), np.zeros((3, 2)))).via("zero loss")
+@example(case=(np.array([EDGE_PROBS[:2], EDGE_PROBS[2:4], EDGE_PROBS[4:]]),
+               np.array([0, 1, 1]), np.full((3, 2), 0.25))).via("edge entries")
+def test_frame_loss_equals_the_clamped_log_chain(case):
+    # the gradient keeps the chain's bits; the value too, except that an
+    # exactly zero loss may be +0.0 where the chain gives -0.0
+    value, grad = frame_loss_on_tape(oamb.frame_loss, *case)
+    want_value, want_grad = frame_loss_on_tape(chain_frame_loss, *case)
+    assert grad.tobytes() == want_grad.tobytes()
+    assert value.tobytes() == want_value.tobytes() or value == want_value == 0.0
 
 
 def test_mil_loss_online_gradient():

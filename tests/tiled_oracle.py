@@ -78,7 +78,7 @@ def collapse_time(window, weight, tau, joints):
 
 def extract_dense(extractor, tiled, clips):
     """`extractor`'s features for (L, tau, N, C) clips, one window at a time."""
-    tau, joints = extractor.tau, extractor.joints
+    tau, joints = extractor.tau, clips.shape[2]
     rows = []
     for clip in clips:
         window = DTensor(clip.reshape(tau * joints, -1))
