@@ -94,7 +94,8 @@ def build_parser() -> _Parser:
     tr.add_argument("--seed", type=int, default=None)
     tr.add_argument("--lr", type=float, default=None)
     tr.add_argument("--hidden", type=int, default=None)
-    tr.add_argument("--max-frames", type=int, default=None)
+    tr.add_argument("--max-frames", type=int, default=None,
+                    help="frames kept per video; later frames are dropped")
     tr.add_argument("--ablate-pseudo", action="store_true", default=None)
     tr.add_argument("--ablate-local", action="store_true", default=None)
     tr.add_argument("--ablate-longrange", dest="conv_layers", action="store_const", const=0,
@@ -108,7 +109,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--out-dir", default="out")
     ev.add_argument("--fractions", type=fraction_list,
                     default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
-                    help="comma-separated observed fractions for the early curve")
+                    help="comma-separated fractions of each video's clips for the early curve")
     ev.add_argument("--instance-threshold", type=probability, default=0.5)
     ev.set_defaults(func=cmd_eval)
 

@@ -44,9 +44,9 @@ class TrainConfig:
 
     Defaults follow the reference operating point: Adam at lr 5e-5 with
     weight decay 5e-4 for 100 epochs, clip window tau = stride = 20, top-K
-    divisor kappa = 8, pseudo-label thresholds 0.4 / 0.3, 6000-frame
-    truncation/padding, LSTM hidden size 1024. The model detects one action
-    class; the data format fixes it.
+    divisor kappa = 8, pseudo-label thresholds 0.4 / 0.3, the first 6000
+    frames of each video kept, LSTM hidden size 1024. The model detects one
+    action class; the data format fixes it.
     """
 
     lr: float = 5e-5

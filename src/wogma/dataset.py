@@ -8,8 +8,8 @@ Sequences are stored as JSONL, one object per line:
   gt_segments  optional: a list of [start, end, 1] integer triples, 1-indexed
                inclusive frames; 1 is the one action class;
   frames       the raw T x 18 x 3 array (x, y, confidence per joint).
-Preprocessing truncates/pads to a fixed length and normalises each frame by
-neck position and median trunk length.
+Preprocessing keeps at most the first `max_frames` frames and normalises
+each frame by neck position and median trunk length.
 """
 
 from __future__ import annotations
@@ -62,13 +62,15 @@ class SkeletonSequence:
     gt_segments: list[tuple[int, int, int]] | None = None  # (start, end, class), 1-indexed
 
     def __post_init__(self):
+        try:
+            self.video_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # a lone surrogate, as the JSON escape "\ud800" gives: no file can hold it
+            raise DataFormatError(f"video_id {self.video_id!r} is not UTF-8 text: "
+                                  f"{exc.reason}") from exc
         if len(self.labels) != 1 or self.labels[0] not in (0, 1):
             raise DataFormatError(
                 f"video {self.video_id!r}: labels must be [0] or [1], got {self.labels!r}")
-
-    @property
-    def length(self) -> int:
-        return self.frames.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +169,16 @@ def load_sequences(path) -> list[SkeletonSequence]:
             raw_segments = obj.get("gt_segments")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{where}: {exc}") from exc
-        try:
-            video_id.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            # a JSON escape such as "\ud800" decodes to a lone surrogate,
-            # which no output file can hold
-            raise DataFormatError(f"{where}: video_id {video_id!r} is not UTF-8 text: "
-                                  f"{exc.reason}") from exc
         check_frames(frames, where)
         if not (math.isfinite(fps) and fps > 0.0):
             raise DataFormatError(f"{where}: fps must be finite and above 0, got {fps}")
         segments = (None if raw_segments is None
                     else _segment_list(raw_segments, frames.shape[0], where))
-        sequences.append(SkeletonSequence(video_id=video_id, fps=fps, labels=labels,
-                                          frames=frames, gt_segments=segments))
+        try:
+            sequences.append(SkeletonSequence(video_id=video_id, fps=fps, labels=labels,
+                                              frames=frames, gt_segments=segments))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
     return sequences
 
 
@@ -188,21 +186,24 @@ def load_sequences(path) -> list[SkeletonSequence]:
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-def preprocess(seq: SkeletonSequence, max_frames: int) -> SkeletonSequence:
-    """Truncate/pad to max_frames, then neck-centre and trunk-scale each frame.
+def _median_trunk(coords: np.ndarray, anchors: np.ndarray) -> float:
+    """Median neck-to-mid-hip distance of (T, N, 2) `coords` over `anchors`."""
+    midhip = (coords[:, R_HIP] + coords[:, L_HIP]) / 2.0
+    trunk = np.linalg.norm(coords[:, NECK] - midhip, axis=1)
+    return float(np.median(trunk[anchors]))
 
-    Frames beyond max_frames are dropped; short sequences are padded with
-    all-zero frames. Coordinates are shifted so the neck sits at the origin
-    and divided by the median neck-to-mid-hip distance over non-padded
-    frames. Joints with zero confidence are left at the origin. Idempotent
-    on already-processed sequences (the scale step is skipped when the
-    median trunk length is already 1).
+
+def preprocess(seq: SkeletonSequence, max_frames: int) -> np.ndarray:
+    """The first `max_frames` frames of `seq` as a (min(T, max_frames), N, C)
+    array, shifted so the neck sits at the origin and divided by the median
+    neck-to-mid-hip distance over them. Joints with zero confidence are left
+    at the origin. Idempotent: the scale step is skipped when the median
+    trunk length is already 1, and frames whose normalised trunk length
+    rounds away from 1 are rejected.
     """
-    keep = min(seq.length, max_frames)
-    out = np.zeros((max_frames, seq.frames.shape[1], CHANNELS))
-    out[:keep] = seq.frames[:keep]
+    kept = np.asarray(seq.frames[:max_frames], dtype=np.float64)
 
-    conf = out[:, :, 2]
+    conf = kept[:, :, 2]
     valid = conf.max(axis=1) > 0.0
     if not valid.any():
         raise DataFormatError(f"{seq.video_id}: no valid joints in any frame")
@@ -210,35 +211,33 @@ def preprocess(seq: SkeletonSequence, max_frames: int) -> SkeletonSequence:
     if not anchors.any():
         raise DataFormatError(f"{seq.video_id}: neck/hip joints never visible")
 
-    coords = out[:, :, :2]
+    coords = kept[:, :, :2]
     # finite frames can overflow here; they are rejected below, by name
     with np.errstate(over="ignore", invalid="ignore"):
-        midhip = (coords[:, R_HIP] + coords[:, L_HIP]) / 2.0
-        trunk = np.linalg.norm(coords[:, NECK] - midhip, axis=1)
-        scale = float(np.median(trunk[anchors]))
+        scale = _median_trunk(coords, anchors)
         # a trunk length that overflows would scale every coordinate to zero
         if not 0.0 < scale < math.inf:
             raise DataFormatError(f"{seq.video_id}: degenerate trunk length {scale}")
         centred = coords - coords[:, NECK][:, None, :]
         if abs(scale - 1.0) > 1e-12:
             centred = centred / scale
-    centred[conf == 0.0] = 0.0
-    centred[~valid] = 0.0
+        centred[conf == 0.0] = 0.0
+        centred[~valid] = 0.0
+        normalised = _median_trunk(centred, anchors)
     if not np.isfinite(centred).all():
         raise DataFormatError(f"{seq.video_id}: coordinates overflow when normalised")
-
-    frames = np.concatenate([centred, conf[:, :, None]], axis=2)
-    segments = None if seq.gt_segments is None else visible_segments(seq.gt_segments,
-                                                                      max_frames)
-    return SkeletonSequence(video_id=seq.video_id, fps=seq.fps, labels=list(seq.labels),
-                            frames=frames, gt_segments=segments)
+    if abs(normalised - 1.0) > 1e-12:
+        # hips that nearly cancel: preprocessing the output again would rescale it
+        raise DataFormatError(
+            f"{seq.video_id}: median trunk length {normalised} once normalised, not 1")
+    return np.concatenate([centred, conf[:, :, None]], axis=2)
 
 
 def visible_segments(segments: list[tuple[int, int, int]],
                      max_frames: float) -> list[tuple[int, int, int]]:
-    """The part of `segments` inside the first `max_frames` frames, which is
-    all of a video that preprocessing keeps: a segment that starts later is
-    dropped, and one that ends later ends at `max_frames`."""
+    """The part of `segments` inside the first `max_frames` frames, the
+    frames `preprocess` keeps: a segment that starts later is dropped, and
+    one that ends later ends at `max_frames`."""
     return [(s, min(e, max_frames), c) for s, e, c in segments if s <= max_frames]
 
 

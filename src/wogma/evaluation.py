@@ -185,7 +185,8 @@ def score_videos(model: ActionDetector, dataset: list[SkeletonSequence],
 
 
 def early_observation_curve(results: list[VideoResult], fractions, kappa: int) -> list[tuple[float, float]]:
-    """AUC when classifying from the first ceil(p * L) clips only.
+    """AUC when classifying each video from the first ceil(p * L) of its L
+    clips only.
 
     The timelines are causal in the clips, so slicing a stored timeline
     equals re-running the model on the truncated clips. It does not equal

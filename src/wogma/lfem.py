@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter
-from .errors import ConfigurationError
+from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class ClipWindowing:
     stride: int
 
     def clip_count(self, total_frames: int) -> int:
-        if total_frames < self.tau:
-            raise ConfigurationError(
-                f"sequence of {total_frames} frames shorter than window {self.tau}")
         return (total_frames - self.tau) // self.stride + 1
 
     def frame_interval(self, clip_index: int) -> tuple[int, int]:
@@ -43,15 +40,15 @@ class ClipWindowing:
         return start, start + self.tau - 1
 
 
-def split_clips(frames: np.ndarray, tau: int, stride: int) -> np.ndarray:
-    """Split a (T, N, C) sequence into (L, tau, N, C) clips; remainder dropped."""
-    windowing = ClipWindowing(tau=tau, stride=stride)
-    count = windowing.clip_count(frames.shape[0])
-    clips = np.empty((count, tau) + frames.shape[1:])
-    for i in range(count):
-        start = i * stride
-        clips[i] = frames[start:start + tau]
-    return clips
+def split_clips(frames: np.ndarray, windowing: ClipWindowing, video_id: str) -> np.ndarray:
+    """Split video `video_id`'s (T, N, C) frames into (L, tau, N, C) clips;
+    remainder dropped. A video shorter than one clip is a data error."""
+    tau = windowing.tau
+    if frames.shape[0] < tau:
+        raise DataFormatError(
+            f"video {video_id!r}: {frames.shape[0]} frames, fewer than the {tau} of one clip")
+    starts = np.arange(windowing.clip_count(frames.shape[0])) * windowing.stride
+    return frames[starts[:, None] + np.arange(tau)]
 
 
 class LocalFeatureExtractor:

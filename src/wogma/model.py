@@ -56,8 +56,8 @@ class ActionDetector:
 
     def prepare_clips(self, seq: SkeletonSequence) -> np.ndarray:
         """Preprocess a raw sequence and split it into (L, tau, N, C) clips."""
-        processed = preprocess(seq, self.config.max_frames)
-        return split_clips(processed.frames, self.config.tau, self.config.stride)
+        frames = preprocess(seq, self.config.max_frames)
+        return split_clips(frames, self.windowing, seq.video_id)
 
     # -- forward -------------------------------------------------------------
 

@@ -135,7 +135,7 @@ def prefix_video_prob(timeline_probs: np.ndarray, prefix: int, kappa: int) -> fl
 def extract_instances(timeline_probs: np.ndarray, threshold: float,
                       windowing: ClipWindowing) -> list[DetectionInstance]:
     """Maximal runs of consecutive clips whose action probability (column 1)
-    is above threshold, one instance each.
+    is at or above threshold, one instance each.
 
     Instance score is the mean clip probability over the run; boundaries map
     through the clip window. Instances come back sorted by score descending.

@@ -251,6 +251,35 @@ def test_video_id_with_a_lone_surrogate_exits_two_and_writes_nothing(tmp_path, c
     assert not [name for name in outputs if (out / name).exists()]
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("train", ["checkpoint.bin", "metrics.csv"]),
+    ("eval", ["report.json", "early_curve.csv", "timelines.csv"]),
+    ("detect", ["instances.json"]),
+])
+def test_video_shorter_than_one_clip_exits_two_naming_it(tmp_path, capsys, command, outputs):
+    # tau - 1 frames: not one clip to score, so no output counts the video
+    seqs = synthesize(SynthParams(n_videos=2, frames=120, seed=2, segment_len_min=40,
+                                  segment_len_max=60))
+    short = dataclasses.replace(seqs[1], video_id="short-one", gt_segments=None,
+                                frames=seqs[1].frames[:FAST_CONFIG["tau"] - 1])
+    data = tmp_path / "d.jsonl"
+    save_sequences(data, [seqs[0], short])
+    out = tmp_path / "out"
+    if command == "train":
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**FAST_CONFIG, "train_data": str(data),
+                                      "out_dir": str(out)}))
+        args = ["train", "--config", config, "--quiet"]
+    else:
+        checkpoint = tmp_path / "ck.bin"
+        save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
+        args = [command, "--checkpoint", checkpoint, "--data", data, "--out-dir", out]
+    assert run_cli(args) == 2
+    assert ("data error: video 'short-one': 19 frames, fewer than the 20 of one clip"
+            in capsys.readouterr().err)
+    assert not [name for name in outputs if (out / name).exists()]
+
+
 def test_eval_empty_dataset_exits_two(tmp_path, capsys):
     # no videos to score: no NaN report, as train rejects an empty training set
     checkpoint = tmp_path / "ck.bin"

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import micro_model
 from wogma import evaluation as ev
+from wogma.dataset import SynthParams, synthesize
 from wogma.evaluation import ScoredSegment
+from wogma.oamb import prefix_video_prob
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,6 @@ def synthetic_results(seed=0, videos=10, clips=12):
 def test_early_curve_fraction_one_equals_full_auc():
     results = synthetic_results()
     curve = ev.early_observation_curve(results, [0.25, 1.0], kappa=8)
-    from wogma.oamb import prefix_video_prob
     labels = np.array([r.label for r in results])
     probs = np.array([prefix_video_prob(r.timeline, r.timeline.shape[0], 8)
                       for r in results])
@@ -284,7 +286,6 @@ def test_early_curve_ignores_frames_beyond_prefix():
 
 
 def test_evaluate_end_to_end_micro_model():
-    from wogma.dataset import SynthParams, synthesize
     from wogma.config import TrainConfig
     from wogma.model import ActionDetector
     config = TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
@@ -311,7 +312,6 @@ def test_evaluate_scores_the_ground_truth_the_model_sees(monkeypatch, late_video
     # a video whose every segment lies there still counts as annotated, so
     # its instance is a false positive
     from wogma.config import TrainConfig
-    from wogma.dataset import SynthParams, synthesize
     from wogma.model import ActionDetector
     model = ActionDetector(TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
                                        feature_dim=8, gcn_channels=4, scales=2))
@@ -329,3 +329,70 @@ def test_evaluate_scores_the_ground_truth_the_model_sees(monkeypatch, late_video
     assert [[(i.start_frame, i.end_frame) for i in r.instances] for r in results] == (
         [[(1, 120)]] * len(data))
     assert report.map_at[0.1] == map_at_01
+
+
+def test_score_videos_cuts_gt_segments_at_max_frames():
+    # a segment that starts past the frames the model sees is dropped, and
+    # one that ends past them ends at max_frames
+    model = micro_model(max_frames=60)
+    [seq] = synthesize(SynthParams(n_videos=1, frames=100, seed=0, segment_len_min=10,
+                                   segment_len_max=40))
+    seq.gt_segments = [(1, 40, 1), (50, 90, 1), (95, 100, 1)]
+    [result] = ev.score_videos(model, [seq], 0.5)
+    assert result.gt_segments == [(1, 40, 1), (50, 60, 1)]
+
+
+# ---------------------------------------------------------------------------
+# A video is as long as its frames
+# ---------------------------------------------------------------------------
+
+TAU = 4
+
+
+def synth_video(frames, seed, label=1):
+    [seq] = synthesize(SynthParams(n_videos=1, frames=frames, seed=seed,
+                                   positive_fraction=float(label), segment_len_min=1,
+                                   segment_len_max=frames))
+    return seq
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=st.integers(TAU, 40), max_frames=st.integers(TAU, 40),
+       stride=st.integers(1, TAU), threshold=st.floats(0.0, 1.0), seed=st.integers(0, 9))
+def test_no_instance_ends_past_the_frames_the_model_sees(frames, max_frames, stride,
+                                                         threshold, seed):
+    model = micro_model(tau=TAU, stride=stride, max_frames=max_frames, seed=seed)
+    [result] = ev.score_videos(model, [synth_video(frames, seed)], threshold)
+    assert all(inst.end_frame <= min(frames, max_frames) for inst in result.instances)
+    assert result.timeline.shape[0] == (min(frames, max_frames) - TAU) // stride + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(frames=st.integers(TAU, 40), extra=st.integers(1, 40), stride=st.integers(1, TAU),
+       seed=st.integers(0, 9))
+def test_timeline_of_a_video_does_not_depend_on_a_max_frames_past_its_end(frames, extra,
+                                                                         stride, seed):
+    seq = synth_video(frames, seed)
+    timelines = []
+    for max_frames in (frames, frames + extra):
+        model = micro_model(tau=TAU, stride=stride, max_frames=max_frames, seed=seed)
+        timelines.append(model.infer_timeline(model.prepare_clips(seq)).tobytes())
+    assert timelines[0] == timelines[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.tuples(st.integers(TAU, 60), st.integers(TAU, 60)),
+       fraction=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 9))
+def test_early_curve_counts_the_clips_a_short_video_has(lengths, fraction, seed):
+    # at max_frames 64 neither video fills the clips a full-length one has
+    model = micro_model(tau=TAU, stride=TAU, max_frames=64, seed=seed)
+    videos = [synth_video(frames, seed + label, label)
+              for label, frames in enumerate(lengths)]
+    results = ev.score_videos(model, videos, 0.5)
+    observed = [frames // TAU for frames in lengths]
+    assert [r.timeline.shape[0] for r in results] == observed
+    probs = [prefix_video_prob(r.timeline, math.ceil(fraction * count), model.config.kappa)
+             for r, count in zip(results, observed)]
+    auc = ev.classification_metrics(np.array(probs), np.array([0, 1]))[2]
+    assert ev.early_observation_curve(results, [fraction], model.config.kappa) == [
+        (fraction, auc)]

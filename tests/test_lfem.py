@@ -4,7 +4,7 @@ import pytest
 from wogma import graph as gr
 from wogma import lfem
 from wogma.autodiff import DTensor, Parameter
-from wogma.errors import ConfigurationError
+from wogma.errors import ConfigurationError, DataFormatError
 from grad_oracle import grad_check
 from tiled_oracle import collapse_time, extract_dense, g3d_conv, tiled_multiscale
 
@@ -37,9 +37,12 @@ def test_clip_count_paper_defaults():
     assert lfem.ClipWindowing(tau=20, stride=20).clip_count(6000) == 300
 
 
+WINDOW = lfem.ClipWindowing(tau=20, stride=20)
+
+
 def test_split_clips_partition():
     frames = np.arange(40 * 2 * 3, dtype=float).reshape(40, 2, 3)
-    clips = lfem.split_clips(frames, tau=20, stride=20)
+    clips = lfem.split_clips(frames, WINDOW, "v0")
     assert clips.shape == (2, 20, 2, 3)
     np.testing.assert_array_equal(clips[0], frames[:20])
     np.testing.assert_array_equal(clips[1], frames[20:40])
@@ -47,12 +50,14 @@ def test_split_clips_partition():
 
 def test_split_clips_drops_remainder():
     frames = np.zeros((25, 2, 3))
-    assert lfem.split_clips(frames, tau=20, stride=20).shape[0] == 1
+    assert lfem.split_clips(frames, WINDOW, "v0").shape[0] == 1
 
 
 def test_split_clips_too_short_rejected():
-    with pytest.raises(ConfigurationError):
-        lfem.split_clips(np.zeros((10, 2, 3)), tau=20, stride=20)
+    # a video shorter than one clip is bad data, named by its id
+    with pytest.raises(DataFormatError,
+                       match="video 'v0': 19 frames, fewer than the 20 of one clip"):
+        lfem.split_clips(np.zeros((19, 2, 3)), WINDOW, "v0")
 
 
 def test_frame_interval():
