@@ -19,8 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 # Extended-precision dtype that DTensor keeps as it is, for the gradient
 # oracle's finite differences.
 EXTENDED = np.longdouble
@@ -206,25 +204,6 @@ def linear(x, w) -> DTensor:
     return out
 
 
-def graph_apply(a: np.ndarray, x) -> DTensor:
-    """Left-multiply by a constant (non-learnable) matrix: out = a @ x.
-
-    x may carry leading batch dimensions: (..., n, c) with a: (n, n).
-    """
-    x = _as_tensor(x)
-    a = np.asarray(a, dtype=np.float64)
-    if x.values.shape[-2] != a.shape[1]:
-        raise ShapeError(f"graph_apply: matrix {a.shape} does not match x {x.values.shape}")
-    out = DTensor(np.matmul(a, x.values), requires_grad=_needs(x))
-
-    def pull(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.ensure_grad()[...] += np.matmul(a.T, g)
-
-    _record(out, pull)
-    return out
-
-
 def temporal_conv1d(x, w, b) -> DTensor:
     """Same-length 1D convolution over the leading (time) axis.
 
@@ -234,7 +213,7 @@ def temporal_conv1d(x, w, b) -> DTensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     c_out, c_in, k = w.values.shape
     if k % 2 == 0:
-        raise ConfigurationError(f"temporal_conv1d kernel size must be odd, got {k}")
+        raise ShapeError(f"temporal_conv1d: kernel size must be odd, got w shape {w.values.shape}")
     if x.values.ndim != 2 or x.values.shape[1] != c_in:
         raise ShapeError(f"temporal_conv1d: x shape {x.values.shape} does not match w shape {w.values.shape}")
     length = x.values.shape[0]
@@ -366,17 +345,15 @@ def reduce_sum(x, axis: int | None = None) -> DTensor:
     return out
 
 
-def reduce_mean(x, axis: int | None = None) -> DTensor:
+def reduce_mean(x) -> DTensor:
+    """The mean of all entries of x, as a () tensor."""
     x = _as_tensor(x)
-    count = x.values.size if axis is None else x.values.shape[axis]
-    out = DTensor(x.values.mean(axis=axis), requires_grad=_needs(x))
+    count = x.values.size
+    out = DTensor(x.values.mean(), requires_grad=_needs(x))
 
     def pull(g: np.ndarray) -> None:
         if x.requires_grad:
-            if axis is None:
-                x.ensure_grad()[...] += g / count
-            else:
-                x.ensure_grad()[...] += np.expand_dims(g, axis) / count
+            x.ensure_grad()[...] += g / count
 
     _record(out, pull)
     return out

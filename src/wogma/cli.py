@@ -254,16 +254,17 @@ def cmd_detect(args) -> int:
             all_instances += _instance_records("stdin", timeline, args.instance_threshold,
                                                model.windowing)
     else:
-        dataset = load_sequences(args.data)
-        for seq in dataset:
-            clips = model.prepare_clips(seq)
+        # every video is prepared before the first record, so a data error
+        # in any of them exits before stdout holds a partial stream
+        videos = [(seq.video_id, model.prepare_clips(seq)) for seq in load_sequences(args.data)]
+        for video_id, clips in videos:
             timeline = model.infer_timeline(clips)
             for i, probs in enumerate(timeline, start=1):
                 record = stream_record(i, model.windowing, probs)
-                record["video_id"] = seq.video_id
+                record["video_id"] = video_id
                 sys.stdout.write(json.dumps(record) + "\n")
             sys.stdout.flush()
-            all_instances += _instance_records(seq.video_id, timeline,
+            all_instances += _instance_records(video_id, timeline,
                                                args.instance_threshold, model.windowing)
 
     (out_dir / "instances.json").write_text(json.dumps(all_instances, indent=2) + "\n")

@@ -62,14 +62,11 @@ class TrainConfig:
     seed: int = 0
     ablate_pseudo: bool = False
     ablate_local: bool = False
-    # network widths (the reference leaves these open; desk-scale defaults);
-    # conv_layers = 0 is the long-range ablation
-    scales: int = 3
+    # widths and CPGB depth (the reference leaves these open; desk-scale
+    # defaults); conv_layers = 0 is the long-range ablation
     gcn_channels: int = 32
-    gcn_layers: int = 1
     feature_dim: int = 64
     conv_layers: int = 2
-    conv_kernel: int = 3
 
     def __post_init__(self):
         check_field_types(self)
@@ -78,16 +75,12 @@ class TrainConfig:
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
         for name in ("tau", "stride", "kappa", "epochs", "max_frames", "hidden", "gcn_channels",
-                     "gcn_layers", "feature_dim"):
+                     "feature_dim"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        for name in ("scales", "conv_layers"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
-        if self.conv_kernel % 2 == 0:
-            raise ConfigurationError(f"conv_kernel must be odd, got {self.conv_kernel}")
+        if self.conv_layers < 0:
+            raise ConfigurationError(f"conv_layers must be >= 0, got {self.conv_layers}")
         if self.max_frames < self.tau:
             raise ConfigurationError(
                 f"max_frames ({self.max_frames}) must be >= tau ({self.tau})")

@@ -14,6 +14,8 @@ from . import autodiff as ad
 from .autodiff import DTensor, Parameter
 
 PROB_EPS = 1e-7
+# Clips each temporal convolution spans, centred on the clip it scores.
+CONV_KERNEL = 3
 
 
 class PseudoLabelBranch:
@@ -23,13 +25,12 @@ class PseudoLabelBranch:
     clips, and the head scores each clip's features alone.
     """
 
-    def __init__(self, feature_dim: int, conv_layers: int, conv_kernel: int,
-                 rng: np.random.Generator | None):
+    def __init__(self, feature_dim: int, conv_layers: int, rng: np.random.Generator | None):
         self.params: dict[str, Parameter] = {}
         self.conv_layers = conv_layers
-        fan = feature_dim * conv_kernel
+        fan = feature_dim * CONV_KERNEL
         for layer in range(self.conv_layers):
-            self._add(ad.init_uniform(rng, (feature_dim, feature_dim, conv_kernel), fan,
+            self._add(ad.init_uniform(rng, (feature_dim, feature_dim, CONV_KERNEL), fan,
                                       f"cpgb.conv{layer}_w"))
             self._add(ad.init_zeros((feature_dim,), f"cpgb.conv{layer}_b"))
         self._add(ad.init_uniform(rng, (feature_dim, 1), feature_dim, "cpgb.fc_w"))

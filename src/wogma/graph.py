@@ -3,14 +3,15 @@
 The one skeleton is a constant: 18 joints and the 17 bones of
 SKELETON_EDGES, whose 0/1 matrix `skeleton_adjacency` builds. It is
 disentangled into one 0/1 matrix per exact graph distance (MS-G3D's
-multi-scale scheme). The graph convolution is defined on a clip window:
-each scale is tiled across the window's tau frames and symmetrically
-degree-normalised (`normalize`); tests/tiled_oracle.py builds those tiled
-matrices. Every frame block of a normalised tiled matrix equals the
-normalised N x N scale matrix with self-connections divided by tau, so
-applying it to a window equals applying the N x N matrix to the window's
-per-joint mean pose. `build_multiscale` therefore returns the N x N
-matrices, and those are what the convolution consumes.
+multi-scale scheme); the LFEM uses distances 0..lfem.SCALES. The graph
+convolution is defined on a clip window: each scale is tiled across the
+window's tau frames and symmetrically degree-normalised (`normalize`);
+tests/tiled_oracle.py builds those tiled matrices. Every frame block of a
+normalised tiled matrix equals the normalised N x N scale matrix with
+self-connections divided by tau, so applying it to a window equals applying
+the N x N matrix to the window's per-joint mean pose. `build_multiscale`
+therefore returns the N x N matrices, and the LFEM's one graph layer
+multiplies the mean pose by each of them as a constant.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
-"""Local feature extraction: clip windowing, multi-scale graph convolution
-of each clip, time collapse, and joint aggregation.
+"""Local feature extraction: clip windowing, one multi-scale graph
+convolution of each clip, time collapse, and joint aggregation.
 
 The convolution is defined on a clip window through the tiled, normalised
 multi-scale matrices that tests/tiled_oracle.py builds. Every frame block
-of those matrices is the same N x N matrix divided by tau, so a layer maps
+of those matrices is the same N x N matrix divided by tau, so the layer maps
 a window to identical frames that are a graph convolution of the window's
-per-joint mean pose. That spatial form is what runs: the mean pose is taken once, the
-layers convolve it with the N x N matrices of `graph.build_multiscale`, and
-the learned per-frame time collapse reduces to its frame-summed kernel.
+per-joint mean pose. That spatial form is what runs: the mean pose is taken
+once, each N x N matrix of `graph.build_multiscale` multiplies it as a
+constant, and the learned per-frame time collapse reduces to its
+frame-summed kernel.
 
 Every clip runs through the same parameters, so features are local: row i of
 the output depends only on the frames of clip i.
@@ -22,6 +23,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTensor, Parameter
 from .errors import DataFormatError
+
+# The graph layer mixes joints at graph distances 0..SCALES, with one
+# normalised matrix and one weight per distance (MS-G3D's multi-scale scheme).
+SCALES = 3
 
 
 @dataclass(frozen=True)
@@ -54,16 +59,16 @@ def split_clips(frames: np.ndarray, windowing: ClipWindowing, video_id: str) -> 
 class LocalFeatureExtractor:
     """Per-clip feature pipeline shared by both downstream branches.
 
-    The default path runs the multi-scale graph convolution (optionally
-    stacked) on each clip's mean pose, collapses time per joint, then
-    aggregates all joints with an affine map + relu into one feature vector
-    per clip. `adjacency` holds the normalised N x N matrix of each scale.
-    With `ablate_local` the whole pipeline is replaced by a single affine
-    projection of the flattened raw clip.
+    The default path runs one multi-scale graph convolution on each clip's
+    mean pose, collapses time per joint, then aggregates all joints with an
+    affine map + relu into one feature vector per clip. `adjacency` holds
+    the normalised N x N matrix of each scale, and `thetas` the layer's
+    weight for each. With `ablate_local` the whole pipeline is replaced by a
+    single affine projection of the flattened raw clip.
     """
 
     def __init__(self, adjacency: tuple[np.ndarray, ...], tau: int, joints: int,
-                 in_channels: int, gcn_channels: int, gcn_layers: int, feature_dim: int,
+                 in_channels: int, gcn_channels: int, feature_dim: int,
                  ablate_local: bool, rng: np.random.Generator | None):
         self.adjacency = adjacency
         self.tau = tau
@@ -76,16 +81,9 @@ class LocalFeatureExtractor:
             self._add(ad.init_zeros((feature_dim,), "lfem.proj_b"))
             return
 
-        self.thetas: list[list[Parameter]] = []
-        width = in_channels
-        for layer in range(gcn_layers):
-            layer_thetas = []
-            for m in range(len(adjacency)):
-                p = ad.init_uniform(rng, (width, gcn_channels), width,
-                                    f"lfem.g3d{layer}.theta{m}")
-                layer_thetas.append(self._add(p))
-            self.thetas.append(layer_thetas)
-            width = gcn_channels
+        self.thetas = [self._add(ad.init_uniform(rng, (in_channels, gcn_channels), in_channels,
+                                                 f"lfem.g3d0.theta{m}"))
+                       for m in range(len(adjacency))]
         self._add(ad.init_uniform(rng, (gcn_channels, tau, gcn_channels),
                                   gcn_channels * tau, "lfem.collapse"))
         agg_in = joints * gcn_channels
@@ -108,22 +106,21 @@ class LocalFeatureExtractor:
         """Feature matrix (L, C_f) for clips shaped (L, tau, N, C).
 
         The tiled window matrices define the convolution; by their block
-        identity (see the module docstring) each layer is computed on the
-        per-joint mean pose with the N x N matrices, and the (C, tau, D) time
-        collapse is applied as its frame-summed (C, D) kernel.
+        identity (see the module docstring) it is computed on the per-joint
+        mean pose with the N x N matrices, and the (C, tau, D) time collapse
+        is applied as its frame-summed (C, D) kernel. The matrices and the
+        pose are constants, so their products need no tape node.
         """
         count = clips.shape[0]
         if self.ablate_local:
             flat = DTensor(clips.reshape(count, -1))
             return ad.affine(flat, self.params["lfem.proj_w"], self.params["lfem.proj_b"])
 
-        x = DTensor(clips.sum(axis=1) * (1.0 / self.tau))   # (L, N, C) mean pose
-        for layer_thetas in self.thetas:
-            total = None
-            for mat, theta in zip(self.adjacency, layer_thetas):
-                term = ad.linear(ad.graph_apply(mat, x), theta)
-                total = term if total is None else ad.add(total, term)
-            x = ad.relu(total)                          # (L, N, D)
+        pose = clips.sum(axis=1) * (1.0 / self.tau)     # (L, N, C) mean pose
+        total = None
+        for mat, theta in zip(self.adjacency, self.thetas):
+            term = ad.linear(mat @ pose, theta)
+            total = term if total is None else ad.add(total, term)
         w_sum = ad.reduce_sum(self.params["lfem.collapse"], axis=1)       # (C, D)
-        collapsed = ad.linear(x, w_sum)                 # (L, N, D)
+        collapsed = ad.linear(ad.relu(total), w_sum)    # (L, N, D)
         return self.aggregate_joints(collapsed)

@@ -9,7 +9,7 @@ from .config import TrainConfig
 from .cpgb import PseudoLabelBranch
 from .dataset import CHANNELS, SkeletonSequence, preprocess
 from .graph import JOINT_COUNT, build_multiscale, skeleton_adjacency
-from .lfem import ClipWindowing, LocalFeatureExtractor, split_clips
+from .lfem import SCALES, ClipWindowing, LocalFeatureExtractor, split_clips
 from .oamb import OnlineBranch
 
 
@@ -35,13 +35,11 @@ class ActionDetector:
         self.windowing = ClipWindowing(tau=config.tau, stride=config.stride)
         rng = np.random.default_rng(config.seed) if initialise else None
         self.extractor = LocalFeatureExtractor(
-            build_multiscale(skeleton_adjacency(), scales=config.scales), tau=config.tau,
+            build_multiscale(skeleton_adjacency(), SCALES), tau=config.tau,
             joints=JOINT_COUNT, in_channels=CHANNELS, gcn_channels=config.gcn_channels,
-            gcn_layers=config.gcn_layers, feature_dim=config.feature_dim,
-            ablate_local=config.ablate_local, rng=rng)
+            feature_dim=config.feature_dim, ablate_local=config.ablate_local, rng=rng)
         self.pseudo_branch = PseudoLabelBranch(
-            feature_dim=config.feature_dim, conv_layers=config.conv_layers,
-            conv_kernel=config.conv_kernel, rng=rng)
+            feature_dim=config.feature_dim, conv_layers=config.conv_layers, rng=rng)
         self.online_branch = OnlineBranch(
             feature_dim=config.feature_dim, hidden=config.hidden, rng=rng)
         self.params: dict[str, Parameter] = {}

@@ -12,7 +12,7 @@ from wogma.model import ActionDetector
 def micro_config(**overrides):
     """Tiny-but-complete model settings for fast structural tests."""
     base = dict(tau=4, stride=4, max_frames=12, hidden=8, feature_dim=8,
-                gcn_channels=4, scales=2, epochs=2, lr=1e-3,
+                gcn_channels=4, epochs=2, lr=1e-3,
                 weight_decay=0.0, seed=0, kappa=8)
     base.update(overrides)
     return TrainConfig(**base)
@@ -39,7 +39,7 @@ def parameter_count(model: ActionDetector) -> int:
 def small_training_config():
     """18-joint config small enough for seconds-scale training tests."""
     return TrainConfig(tau=20, stride=20, max_frames=120, hidden=16,
-                       feature_dim=16, gcn_channels=8, scales=3,
+                       feature_dim=16, gcn_channels=8,
                        epochs=2, lr=1e-3, weight_decay=1e-4, seed=7)
 
 

@@ -20,7 +20,7 @@ from wogma.trainer import save_checkpoint
 
 FAST_CONFIG = {
     "tau": 20, "stride": 20, "max_frames": 120, "hidden": 8, "feature_dim": 8,
-    "gcn_channels": 4, "scales": 2, "epochs": 2, "lr": 1e-3,
+    "gcn_channels": 4, "epochs": 2, "lr": 1e-3,
     "weight_decay": 0.0, "seed": 3,
 }
 
@@ -53,12 +53,17 @@ def test_unknown_flag_exits_one(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+# Keys TrainConfig once had: the network's scale count, graph layer count
+# and temporal kernel size are constants of lfem and cpgb.
+NETWORK_SHAPE_KEYS = [("scales", 3), ("gcn_layers", 1), ("conv_kernel", 3)]
+
+
 @pytest.mark.parametrize("key, value", [("definitely_unknown", 1),
                                         ("eval_fractions", [0.5, 1.0]),
                                         ("instance_threshold", 0.3),
-                                        ("ablate_longrange", True)],
+                                        ("ablate_longrange", True), *NETWORK_SHAPE_KEYS],
                          ids=["definitely_unknown", "eval_fractions", "instance_threshold",
-                              "ablate_longrange"])
+                              "ablate_longrange", *(key for key, _ in NETWORK_SHAPE_KEYS)])
 def test_unknown_config_key_exits_one(tmp_path, capsys, key, value):
     # the early-curve fractions and the instance threshold are flags of eval
     # and detect; train reads neither. The long-range ablation is conv_layers = 0
@@ -275,8 +280,11 @@ def test_video_shorter_than_one_clip_exits_two_naming_it(tmp_path, capsys, comma
         save_checkpoint(checkpoint, ActionDetector(TrainConfig(**FAST_CONFIG)), epoch=0)
         args = [command, "--checkpoint", checkpoint, "--data", data, "--out-dir", out]
     assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    # the first video is fine: nothing of it reaches stdout either
+    assert captured.out == ""
     assert ("data error: video 'short-one': 19 frames, fewer than the 20 of one clip"
-            in capsys.readouterr().err)
+            in captured.err)
     assert not [name for name in outputs if (out / name).exists()]
 
 
@@ -801,3 +809,10 @@ def test_checkpoint_with_ablate_longrange_exits_two(tmp_path, monkeypatch, capsy
     assert detect_with_old_config_key(tmp_path, monkeypatch, "ablate_longrange", False) == 2
     assert ("bad config: unknown config keys: ['ablate_longrange']"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, value", NETWORK_SHAPE_KEYS,
+                         ids=[key for key, _ in NETWORK_SHAPE_KEYS])
+def test_checkpoint_with_a_network_shape_key_exits_two(tmp_path, monkeypatch, capsys, key, value):
+    assert detect_with_old_config_key(tmp_path, monkeypatch, key, value) == 2
+    assert f"bad config: unknown config keys: ['{key}']" in capsys.readouterr().err

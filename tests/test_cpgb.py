@@ -14,7 +14,7 @@ from tape_oracle import two_term_binary_cross_entropy
 
 def make_branch(feature_dim=6, ablate=False, seed=0):
     return cpgb.PseudoLabelBranch(feature_dim=feature_dim, conv_layers=0 if ablate else 2,
-                                  conv_kernel=3, rng=np.random.default_rng(seed))
+                                  rng=np.random.default_rng(seed))
 
 
 def test_temporal_stack_ablated_is_bitwise_identity():

@@ -412,8 +412,27 @@ def test_save_then_load_gives_back_every_field_and_the_frames_bitwise(tmp_path_f
         assert b.frames.tobytes() == a.frames.tobytes()
 
 
+@st.composite
+def plausible_frames(draw, max_length=4):
+    """skeleton_frames whose neck and hips are visible in every frame, the
+    hips' midpoint 1 to 1000 units from the neck along each axis: most of
+    these videos pass preprocess, where most arbitrary ones fail it."""
+    frames = draw(skeleton_frames(max_length)).copy()
+    pair = (frames.shape[0], 2)
+    neck = draw(hnp.arrays(np.float64, pair, elements=st.floats(-1e3, 1e3)))
+    trunk = (draw(hnp.arrays(np.float64, pair, elements=st.floats(1.0, 1e3)))
+             * draw(hnp.arrays(np.float64, pair, elements=st.sampled_from([-1.0, 1.0]))))
+    half_hips = draw(hnp.arrays(np.float64, pair, elements=st.floats(-1e3, 1e3)))
+    frames[:, NECK, :2] = neck
+    frames[:, R_HIP, :2] = neck + trunk + half_hips
+    frames[:, L_HIP, :2] = neck + trunk - half_hips
+    frames[:, [NECK, R_HIP, L_HIP], 2] = draw(hnp.arrays(
+        np.float64, (frames.shape[0], 3), elements=st.floats(0.0, 1.0, exclude_min=True)))
+    return frames
+
+
 @settings(max_examples=150, deadline=None)
-@given(skeleton_frames(), st.integers(1, 6))
+@given(skeleton_frames() | plausible_frames(), st.integers(1, 6))
 def test_preprocess_is_idempotent_bitwise(frames, max_frames):
     seq = ds.SkeletonSequence(video_id="v", fps=20.0, labels=[1], frames=frames)
     try:

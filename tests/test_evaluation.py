@@ -289,7 +289,7 @@ def test_evaluate_end_to_end_micro_model():
     from wogma.config import TrainConfig
     from wogma.model import ActionDetector
     config = TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
-                         feature_dim=8, gcn_channels=4, scales=2, seed=0)
+                         feature_dim=8, gcn_channels=4, seed=0)
     model = ActionDetector(config)
     data = synthesize(SynthParams(n_videos=6, frames=120, seed=2,
                                   segment_len_min=40, segment_len_max=60))
@@ -314,7 +314,7 @@ def test_evaluate_scores_the_ground_truth_the_model_sees(monkeypatch, late_video
     from wogma.config import TrainConfig
     from wogma.model import ActionDetector
     model = ActionDetector(TrainConfig(tau=20, stride=20, max_frames=120, hidden=8,
-                                       feature_dim=8, gcn_channels=4, scales=2))
+                                       feature_dim=8, gcn_channels=4))
     data = synthesize(SynthParams(n_videos=2, frames=200, seed=2, positive_fraction=1.0,
                                   segment_len_min=40, segment_len_max=60))
     data[0].gt_segments = [(30, 60, 1), (150, 180, 1)]

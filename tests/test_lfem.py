@@ -5,6 +5,7 @@ from wogma import graph as gr
 from wogma import lfem
 from wogma.autodiff import DTensor, Parameter
 from wogma.errors import ConfigurationError, DataFormatError
+from conftest import micro_clips, micro_model
 from grad_oracle import grad_check
 from tiled_oracle import collapse_time, extract_dense, g3d_conv, tiled_multiscale
 
@@ -19,13 +20,12 @@ JOINTS, IN_CHANNELS, FEATURE_DIM = 3, 2, 6
 
 
 def make_extractor(tau=4, scales=2, joints=JOINTS, in_channels=IN_CHANNELS, gcn_channels=4,
-                   feature_dim=FEATURE_DIM, gcn_layers=1, ablate_local=False, seed=0):
+                   feature_dim=FEATURE_DIM, ablate_local=False, seed=0):
     adjacency = gr.build_multiscale(path_graph(joints), scales=scales)
     rng = np.random.default_rng(seed)
     return lfem.LocalFeatureExtractor(adjacency, tau=tau, joints=joints,
                                       in_channels=in_channels, gcn_channels=gcn_channels,
-                                      gcn_layers=gcn_layers, feature_dim=feature_dim,
-                                      ablate_local=ablate_local, rng=rng)
+                                      feature_dim=feature_dim, ablate_local=ablate_local, rng=rng)
 
 
 def tiled_of(ex):
@@ -77,7 +77,7 @@ def test_g3d_identity_graph_identity_weights():
 def test_g3d_zero_input_zero_output():
     ex = make_extractor()
     clip = DTensor(np.zeros((ex.tau * JOINTS, IN_CHANNELS)))
-    out = g3d_conv(clip, tiled_of(ex), ex.thetas[0])
+    out = g3d_conv(clip, tiled_of(ex), ex.thetas)
     np.testing.assert_array_equal(out.values, 0.0)
 
 
@@ -85,7 +85,7 @@ def test_g3d_scale_count_mismatch():
     ex = make_extractor(scales=2)
     clip = DTensor(np.zeros((ex.tau * JOINTS, IN_CHANNELS)))
     with pytest.raises(ConfigurationError):
-        g3d_conv(clip, tiled_of(ex), ex.thetas[0][:2])
+        g3d_conv(clip, tiled_of(ex), ex.thetas[:2])
 
 
 def test_g3d_respects_graph_automorphism():
@@ -96,8 +96,8 @@ def test_g3d_respects_graph_automorphism():
     clip = rng.standard_normal((ex.tau, 3, 2))
     swapped = clip[:, [2, 1, 0], :]
     tiled = tiled_of(ex)
-    out = g3d_conv(DTensor(clip.reshape(-1, 2)), tiled, ex.thetas[0]).values
-    out_swapped = g3d_conv(DTensor(swapped.reshape(-1, 2)), tiled, ex.thetas[0]).values
+    out = g3d_conv(DTensor(clip.reshape(-1, 2)), tiled, ex.thetas).values
+    out_swapped = g3d_conv(DTensor(swapped.reshape(-1, 2)), tiled, ex.thetas).values
     out3 = out.reshape(ex.tau, 3, -1)
     out3_swapped = out_swapped.reshape(ex.tau, 3, -1)
     np.testing.assert_allclose(out3_swapped, out3[:, [2, 1, 0], :], atol=1e-12)
@@ -181,15 +181,20 @@ def test_extract_permuting_clips_permutes_rows():
     np.testing.assert_array_equal(shuffled, base[perm])
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_extract_matches_dense_tiled_path(layers):
-    # sequential clip-at-a-time oracle through the literal tiled matrices
-    ex = make_extractor(gcn_layers=layers)
+def test_extract_matches_dense_tiled_path():
+    # sequential clip-at-a-time oracle through the literal tiled matrices, for
+    # a small extractor and for the model's own (18 joints, lfem.SCALES)
+    ex = make_extractor()
     rng = np.random.default_rng(11)
     clips = rng.standard_normal((4, ex.tau, JOINTS, IN_CHANNELS))
     fast = ex.extract(clips).values
     dense = extract_dense(ex, tiled_of(ex), clips).values
     np.testing.assert_allclose(fast, dense, rtol=1e-10, atol=1e-12)
+    model = micro_model()
+    clips = micro_clips(seed=11, model=model)
+    tiled = tiled_multiscale(gr.skeleton_adjacency(), lfem.SCALES, model.config.tau)
+    dense = extract_dense(model.extractor, tiled, clips).values
+    np.testing.assert_allclose(model.features(clips).values, dense, rtol=1e-10, atol=1e-12)
 
 
 def test_extract_ablate_local_is_affine_projection():

@@ -176,7 +176,7 @@ def test_train_loss_decreases(small_training_config):
 
 def test_single_video_overfits():
     config = TrainConfig(tau=20, stride=20, max_frames=60, hidden=16,
-                         feature_dim=16, gcn_channels=8, scales=3,
+                         feature_dim=16, gcn_channels=8,
                          epochs=200, lr=1e-2, weight_decay=0.0, seed=1)
     video = small_dataset(n_videos=2, frames=60, seed=5)[:1]
     _, metrics = tr.train(video, config)
@@ -558,9 +558,8 @@ def test_config_float_field_takes_an_integer():
     ({"hidden": 0}, "hidden must be >= 1, got 0"),
     ({"lr": float("nan")}, "config key 'lr' must be a finite number, got nan"),
     ({"ablate_local": 1}, "config key 'ablate_local' must be true or false, got 1"),
-    ({"conv_kernel": 2}, "conv_kernel must be odd, got 2"),
     ({"max_frames": 10}, "max_frames (10) must be >= tau (20)"),
-], ids=["hidden-0", "lr-nan", "ablate-int", "kernel-even", "frames-below-tau"])
+], ids=["hidden-0", "lr-nan", "ablate-int", "frames-below-tau"])
 @pytest.mark.parametrize("build", ["constructor", "replace"])
 def test_train_config_checks_itself_when_built(build, changes, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):

@@ -3,8 +3,8 @@
 The graph convolution is defined on a (tau*N, C) clip window through the
 normalised tiled matrices; `LocalFeatureExtractor.extract` computes the same
 map on each clip's mean pose. These helpers run the definition clip by clip
-so the tests can check `extract` against it; criteria 1 and 3 check
-tile_window and collapse_window themselves.
+so the tests can check `extract` against it; criterion 1 grad-checks
+graph_apply and collapse_window, and criterion 3 checks tile_window.
 """
 
 import numpy as np
@@ -26,6 +26,25 @@ def tile_window(scale_adjacency: np.ndarray, tau: int) -> np.ndarray:
     n = scale_adjacency.shape[0]
     block = np.minimum(scale_adjacency + np.eye(n), 1.0)
     return np.kron(np.ones((tau, tau)), block)
+
+
+def graph_apply(a: np.ndarray, x) -> DTensor:
+    """Left-multiply by a constant (non-learnable) matrix: out = a @ x.
+
+    x may carry leading batch dimensions: (..., n, c) with a: (n, n).
+    """
+    x = ad._as_tensor(x)
+    a = np.asarray(a, dtype=np.float64)
+    if x.values.shape[-2] != a.shape[1]:
+        raise ad.ShapeError(f"graph_apply: matrix {a.shape} does not match x {x.values.shape}")
+    out = DTensor(np.matmul(a, x.values), requires_grad=ad._needs(x))
+
+    def pull(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x.ensure_grad()[...] += np.matmul(a.T, g)
+
+    ad._record(out, pull)
+    return out
 
 
 def collapse_window(x, w) -> DTensor:
@@ -64,7 +83,7 @@ def g3d_conv(clip, tiled, thetas):
         raise ConfigurationError(f"{len(thetas)} weight matrices for {len(tiled)} scales")
     total = None
     for mat, theta in zip(tiled, thetas):
-        term = ad.linear(ad.graph_apply(mat, clip), theta)
+        term = ad.linear(graph_apply(mat, clip), theta)
         total = term if total is None else ad.add(total, term)
     return ad.relu(total)
 
@@ -81,8 +100,6 @@ def extract_dense(extractor, tiled, clips):
     tau, joints = extractor.tau, clips.shape[2]
     rows = []
     for clip in clips:
-        window = DTensor(clip.reshape(tau * joints, -1))
-        for layer_thetas in extractor.thetas:
-            window = g3d_conv(window, tiled, layer_thetas)
+        window = g3d_conv(DTensor(clip.reshape(tau * joints, -1)), tiled, extractor.thetas)
         rows.append(collapse_time(window, extractor.params["lfem.collapse"], tau, joints))
     return extractor.aggregate_joints(stack_rows(rows))
