@@ -330,16 +330,14 @@ def neg_log(x, lo: float) -> DTensor:
     return out
 
 
-def reduce_sum(x, axis: int | None = None) -> DTensor:
+def reduce_sum(x, axis: int) -> DTensor:
+    """The sum of x along `axis`."""
     x = _as_tensor(x)
     out = DTensor(x.values.sum(axis=axis), requires_grad=_needs(x))
 
     def pull(g: np.ndarray) -> None:
         if x.requires_grad:
-            if axis is None:
-                x.ensure_grad()[...] += g
-            else:
-                x.ensure_grad()[...] += np.expand_dims(g, axis)
+            x.ensure_grad()[...] += np.expand_dims(g, axis)
 
     _record(out, pull)
     return out
@@ -390,17 +388,19 @@ def take_entries(x, rows: np.ndarray, cols: np.ndarray) -> DTensor:
 # LSTM: one step on plain arrays and a whole timeline as one node
 # ---------------------------------------------------------------------------
 
-def lstm_step_values(f, h_prev, c_prev, w_ih, w_hh, b, w_a, b_a) -> tuple[np.ndarray, ...]:
-    """One step of the standard gated recurrence and its softmax head.
+def lstm_cell_values(z, c_prev, w_a, b_a) -> tuple[np.ndarray, ...]:
+    """Finish one step of the standard gated recurrence, softmax head
+    included, from its gate pre-activations.
 
-    f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,),
-    w_a: (H, K), b_a: (K,). Gate layout along the 4H axis: input, forget,
-    candidate, output. Returns (gate_i, gate_f, cand, gate_o, c, tanh_c, h, y)
-    with y = softmax(h @ w_a + b_a); h is bounded in (-1, 1), and the
+    z: (4H,) is the input half f @ w_ih + b plus the recurrent half
+    h_prev @ w_hh, for f: (C_f,), h_prev: (H,), w_ih: (C_f, 4H),
+    w_hh: (H, 4H), b: (4H,); c_prev: (H,), w_a: (H, K), b_a: (K,). Gate
+    layout along the 4H axis: input, forget, candidate, output. Returns
+    (gate_i, gate_f, cand, gate_o, c, tanh_c, h, y) with
+    y = softmax(h @ w_a + b_a); h is bounded in (-1, 1), and the
     intermediates are what lstm_timeline's backward pass needs.
     """
-    hidden = h_prev.shape[0]
-    z = (f @ w_ih + b) + h_prev @ w_hh
+    hidden = c_prev.shape[0]
     gates_if = _sigmoid_vals(z[0:2 * hidden])
     gate_i, gate_f = gates_if[0:hidden], gates_if[hidden:2 * hidden]
     cand = np.tanh(z[2 * hidden:3 * hidden])
@@ -416,27 +416,31 @@ def lstm_step_values(f, h_prev, c_prev, w_ih, w_hh, b, w_a, b_a) -> tuple[np.nda
 OUTER_BLOCK_BYTES = 256 * 1024
 
 
-def _add_outer_sums(worker_jobs, own_jobs) -> None:
+def _add_outer_sums(jobs) -> None:
     """grad += einsum("ir,ic->rc", left, right) for each (grad, left, right)
-    job, the first list on a worker thread and the second on this one.
+    job, taken from one shared iterator by a worker thread and this one.
 
-    einsum releases the GIL, so the two lists run on two cores. Each job
-    adds into its own gradient rows, so the bits do not depend on the split.
-    The worker is joined before this returns, and the first error either
-    thread met is raised here.
+    einsum releases the GIL, so the two threads run on two cores, and when
+    another process holds the second core this thread takes the worker's
+    share instead of waiting for it. A list iterator hands out each job once
+    (its next() holds the GIL), and each job adds into its own gradient
+    rows, so the bits do not depend on which thread takes which. The worker
+    is joined before this returns, and the first error either thread met is
+    raised here.
     """
     errors = []
+    shared = iter(jobs)
 
-    def add_sums(jobs) -> None:
+    def add_sums() -> None:
         try:
-            for grad, left, right in jobs:
+            for grad, left, right in shared:
                 grad += np.einsum("ir,ic->rc", left, right)
         except BaseException as exc:
             errors.append(exc)
 
-    worker = threading.Thread(target=add_sums, args=(worker_jobs,), name="lstm-outer-sums")
+    worker = threading.Thread(target=add_sums, name="lstm-outer-sums")
     worker.start()
-    add_sums(own_jobs)
+    add_sums()
     worker.join()
     if errors:
         raise errors[0]
@@ -451,8 +455,10 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     one tape node. Its values are bitwise the same as those per-step nodes
     give, and so are its gradients where they start from zero
     (tests/lstm_oracle.py records both forms):
-    - the forward pass runs lstm_step_values per row, the kernel, head
-      included, that OnlineBranch.online_step runs too;
+    - the forward pass adds each row's input half x_i @ w_ih + b to its
+      recurrent half h_{i-1} @ w_hh and finishes the step with
+      lstm_cell_values, the kernel, head included, that
+      OnlineBranch.online_step runs too;
     - the backward pass walks the steps newest first with the per-step
       nodes' operations in their order, keeping each step's gate gradient
       dz as a row of an (L, 4H) array;
@@ -465,8 +471,8 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
       rows. With numpy's default optimize=False, einsum adds the products
       in the memory order of the summed axis, with no fused multiply-add
       (tests/test_autodiff.py guards this), so every operand has positive
-      strides. The sums run in cache-sized row blocks, half of them on a
-      worker thread (_add_outer_sums).
+      strides. The sums run in cache-sized row blocks, which this thread
+      and a worker take from one iterator (_add_outer_sums).
     A node thus adds its whole contribution to each weight once: into a
     zero gradient it gives the per-step nodes' bits, and into a gradient
     that holds g it gives g + (those bits).
@@ -486,8 +492,8 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
     cells = []
     h = c = zero
     for i in range(count):
-        cell = lstm_step_values(x.values[i], h, c, w_ih.values, w_hh.values, b.values,
-                                w_a.values, b_a.values)
+        cell = lstm_cell_values((x.values[i] @ w_ih.values + b.values) + h @ w_hh.values,
+                                c, w_a.values, b_a.values)
         c, h = cell[4], cell[6]
         cells.append(cell)
     out = DTensor(np.stack([cell[7] for cell in cells]),
@@ -536,7 +542,7 @@ def lstm_timeline(x, w_ih, w_hh, b, w_a, b_a) -> DTensor:
                 jobs += [(grad[start:start + block], left[:, start:start + block], rows)
                          for start in range(0, grad.shape[0], block)]
         if jobs:
-            _add_outer_sums(jobs[:len(jobs) // 2], jobs[len(jobs) // 2:])
+            _add_outer_sums(jobs)
 
     _record(out, pull)
     return out

@@ -2,7 +2,19 @@
 detection, and plot emission.
 
 Exit codes: 0 success, 1 configuration error (including bad flags),
-2 data error, 3 numeric failure.
+2 data error, 3 numeric failure, 4 stdout closed by its reader before the
+command finished (a broken pipe).
+
+`detect --stdin` runs each clip's step in two halves on two threads (see
+oamb.py). One reader thread reads, parses and checks the next clip line and
+runs the LFEM and the step's input half on it, while the main thread
+computes the recurrent half from the state, in BLAS with the GIL released;
+the main thread then finishes the step and writes the record. The reader
+reads line i+1 only once record i is written, so the stream stays closed
+loop: a client that sends line i+1 only after it got record i is served,
+and a record's latency still runs from its line's read to its write. The
+parse runs on the reader, not the product, because json.loads holds the
+GIL for its whole call while a BLAS product releases it.
 
 `train` lays its settings in layers: defaults < WOGMA_SEED < --config <
 flags, with the file valid on its own, so WOGMA_SEED counts only when neither
@@ -16,7 +28,10 @@ import csv
 import errno
 import json
 import math
+import queue
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +136,9 @@ def build_parser() -> _Parser:
                         help="read preprocessed clip JSON lines from stdin")
     de.add_argument("--out-dir", default="out")
     de.add_argument("--instance-threshold", type=probability, default=0.5)
+    de.add_argument("--latency", action="store_true",
+                    help="add latency_us to each record: the microseconds from reading "
+                         "its clip's line (with --data, the file) to writing the record")
     de.set_defaults(func=cmd_detect)
 
     pl = sub.add_parser("plot", help="emit SVG charts from eval/detect outputs")
@@ -216,6 +234,96 @@ def _instance_records(video_id, timeline, threshold, windowing) -> list[dict]:
             for inst in extract_instances(timeline, threshold, windowing)]
 
 
+READER_THREAD = "detect-stdin-reader"
+
+
+def _clip_input_half(model, line: str, lineno: int) -> np.ndarray:
+    """The step input half of clip line `lineno`: the line parsed and
+    checked as one tau-frame clip, through the LFEM and the input projection.
+    A line that is no such clip raises DataFormatError."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DataFormatError(
+            f"bad clip line {lineno}: expected a JSON object, got {type(obj).__name__}")
+    try:
+        clip = np.asarray(obj["frames"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
+    check_frames(clip, f"clip line {lineno}")
+    if clip.shape[0] != model.config.tau:
+        raise DataFormatError(f"clip line {lineno}: {clip.shape[0]} frames, "
+                              f"expected tau = {model.config.tau}")
+    return model.online_branch.input_half(model.features(clip[None]).values[0])
+
+
+def _read_clips(model, stdin, requests: queue.SimpleQueue, clips: queue.SimpleQueue) -> None:
+    """The reader thread: for each true request, read the next non-blank
+    line of `stdin` and put (its step input half, the time it was read) on
+    `clips`. At the end of input it puts None, and on an error the error,
+    which the main thread raises; either ends the thread, as does a false
+    request."""
+    try:
+        lines = enumerate(iter(stdin.readline, ""), start=1)
+        while requests.get():
+            for lineno, line in lines:
+                read_at = time.perf_counter()
+                if line.strip():
+                    clips.put((_clip_input_half(model, line, lineno), read_at))
+                    break
+            else:
+                clips.put(None)
+                return
+    except BaseException as exc:
+        clips.put(exc)
+
+
+def _write_record(record: dict, read_at: float | None) -> None:
+    """Write one JSONL record; with a read time, first add latency_us."""
+    if read_at is not None:
+        record["latency_us"] = round((time.perf_counter() - read_at) * 1e6, 1)
+    sys.stdout.write(json.dumps(record) + "\n")
+
+
+def _detect_stdin(model, latency: bool) -> list[np.ndarray]:
+    """Stream records for the clip lines of stdin; returns the rows.
+
+    The main thread computes clip i+1's recurrent half while the reader
+    thread reads line i+1, which it starts only once record i is written.
+    The reader is joined on every way out.
+    """
+    branch = model.online_branch
+    requests, clips = queue.SimpleQueue(), queue.SimpleQueue()
+    # a daemon: after an interrupt while the reader waits for a line, the
+    # join waits for that line, and a second interrupt ends the process
+    reader = threading.Thread(target=_read_clips, args=(model, sys.stdin, requests, clips),
+                              name=READER_THREAD, daemon=True)
+    state = branch.initial_state()
+    rows = []
+    reader.start()
+    try:
+        requests.put(True)
+        while True:
+            recurrent = branch.recurrent_half(state)
+            clip = clips.get()
+            if clip is None:
+                return rows
+            if isinstance(clip, BaseException):
+                raise clip
+            input_half, read_at = clip
+            state, probs = branch.online_step(state, input_half, recurrent)
+            rows.append(probs)
+            _write_record(stream_record(state.clips_seen, model.windowing, probs),
+                          read_at if latency else None)
+            sys.stdout.flush()
+            requests.put(True)
+    finally:
+        requests.put(False)
+        reader.join()
+
+
 def cmd_detect(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     out_dir = Path(args.out_dir)
@@ -223,46 +331,22 @@ def cmd_detect(args) -> int:
     all_instances = []
 
     if args.stdin:
-        state = model.online_branch.initial_state()
-        rows = []
-        for lineno, line in enumerate(iter(sys.stdin.readline, ""), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError(
-                    f"bad clip line {lineno}: expected a JSON object, got {type(obj).__name__}")
-            try:
-                clip = np.asarray(obj["frames"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"bad clip line {lineno}: {exc}") from exc
-            check_frames(clip, f"clip line {lineno}")
-            if clip.shape[0] != model.config.tau:
-                raise DataFormatError(f"clip line {lineno}: {clip.shape[0]} frames, "
-                                      f"expected tau = {model.config.tau}")
-            feats = model.features(clip[None])
-            state, probs = model.online_branch.online_step(state, feats.values[0])
-            rows.append(probs)
-            record = stream_record(state.clips_seen, model.windowing, probs)
-            sys.stdout.write(json.dumps(record) + "\n")
-            sys.stdout.flush()
+        rows = _detect_stdin(model, args.latency)
         if rows:
-            timeline = np.stack(rows)
-            all_instances += _instance_records("stdin", timeline, args.instance_threshold,
+            all_instances += _instance_records("stdin", np.stack(rows), args.instance_threshold,
                                                model.windowing)
     else:
+        sequences = load_sequences(args.data)
+        read_at = time.perf_counter() if args.latency else None
         # every video is prepared before the first record, so a data error
         # in any of them exits before stdout holds a partial stream
-        videos = [(seq.video_id, model.prepare_clips(seq)) for seq in load_sequences(args.data)]
+        videos = [(seq.video_id, model.prepare_clips(seq)) for seq in sequences]
         for video_id, clips in videos:
             timeline = model.infer_timeline(clips)
             for i, probs in enumerate(timeline, start=1):
                 record = stream_record(i, model.windowing, probs)
                 record["video_id"] = video_id
-                sys.stdout.write(json.dumps(record) + "\n")
+                _write_record(record, read_at)
             sys.stdout.flush()
             all_instances += _instance_records(video_id, timeline,
                                                args.instance_threshold, model.windowing)
@@ -382,6 +466,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        print("error: stdout was closed before the command finished", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

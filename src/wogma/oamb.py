@@ -2,10 +2,16 @@
 
 Each clip advances an LSTM state and emits a softmax over background (index
 0) and the action (index 1). Row i of the timeline depends on clips 1..i only.
-The streaming path (online_step) and the training path (timeline, one tape
-node through ad.lstm_timeline) both run the one step kernel
-ad.lstm_step_values per clip, softmax head included, so their outputs are
-bitwise identical by construction.
+
+A step's gate pre-activations are the sum of two independent halves: the
+input half f @ w_ih + b, a function of the clip (`input_half`), and the
+recurrent half h_prev @ w_hh, a function of the state (`recurrent_half`).
+`detect --stdin` computes them on two threads (see cli.py). The cell and the
+softmax head then finish the step from their sum in one kernel,
+ad.lstm_cell_values, which the streaming path (online_step) and the training
+path (timeline, one tape node through ad.lstm_timeline) both run per clip
+after the same two products, so their outputs are bitwise identical by
+construction.
 """
 
 from __future__ import annotations
@@ -60,18 +66,29 @@ class OnlineBranch:
 
     # -- streaming (inference) path ----------------------------------------
 
-    def online_step(self, state: OnlineState, feature: np.ndarray) -> tuple[OnlineState, np.ndarray]:
-        """Advance one clip; returns the new state and the (2,) softmax row.
+    def input_half(self, feature: np.ndarray) -> np.ndarray:
+        """The (4H,) input half feature @ w_ih + b of a clip's step."""
+        return feature @ self.params["oamb.w_ih"].values + self.params["oamb.b"].values
 
-        Runs ad.lstm_step_values, the training timeline's step kernel and head,
-        so streaming rows equal `timeline` rows bitwise by construction. A
-        non-finite row, as from a non-finite weight, raises NumericalError
-        naming the clip, so no inference path reports it as a score.
+    def recurrent_half(self, state: OnlineState) -> np.ndarray:
+        """The (4H,) recurrent half state.h @ w_hh of the next clip's step;
+        at the paper point this product is most of a step's time."""
+        return state.h @ self.params["oamb.w_hh"].values
+
+    def online_step(self, state: OnlineState, input_half: np.ndarray,
+                    recurrent_half: np.ndarray) -> tuple[OnlineState, np.ndarray]:
+        """Advance one clip from its step's two halves; returns the new state
+        and the (2,) softmax row.
+
+        Runs ad.lstm_cell_values, the training timeline's cell and head, on
+        input_half + recurrent_half, so streaming rows equal `timeline` rows
+        bitwise by construction. A non-finite row, as from a non-finite
+        weight, raises NumericalError naming the clip, so no inference path
+        reports it as a score.
         """
         p = self.params
-        _, _, _, _, c, _, h, probs = ad.lstm_step_values(
-            feature, state.h, state.c, p["oamb.w_ih"].values, p["oamb.w_hh"].values,
-            p["oamb.b"].values, p["oamb.w_a"].values, p["oamb.b_a"].values)
+        _, _, _, _, c, _, h, probs = ad.lstm_cell_values(
+            input_half + recurrent_half, state.c, p["oamb.w_a"].values, p["oamb.b_a"].values)
         clips_seen = state.clips_seen + 1
         # the two probabilities sum to about 1 unless one is nan or inf; one
         # scalar test costs less than np.isfinite on a (2,) array
@@ -84,7 +101,8 @@ class OnlineBranch:
         state = self.initial_state()
         rows = np.empty((features.shape[0], 2))
         for i in range(features.shape[0]):
-            state, rows[i] = self.online_step(state, features[i])
+            state, rows[i] = self.online_step(state, self.input_half(features[i]),
+                                              self.recurrent_half(state))
         return rows
 
     # -- training path -------------------------------------------------------
@@ -93,7 +111,7 @@ class OnlineBranch:
         """Differentiable timeline (L, 2) over clip features (L, C_f).
 
         One tape node for the whole recurrence; its rows equal `stream`'s
-        bitwise, as both run `ad.lstm_step_values` per clip.
+        bitwise, as both run `ad.lstm_cell_values` per clip.
         """
         return ad.lstm_timeline(features, self.params["oamb.w_ih"], self.params["oamb.w_hh"],
                                 self.params["oamb.b"], self.params["oamb.w_a"],

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +34,29 @@ def micro_clips(seed=0, clip_count=3, model=None):
 def parameter_count(model: ActionDetector) -> int:
     """The number of weights `model` trains."""
     return sum(p.values.size for p in model.parameters())
+
+
+class JobsTakenBy:
+    """A job list for ad._add_outer_sums that notes the thread taking each
+    job. With `side` "caller" only the thread that built it takes jobs, with
+    "worker" only other threads do, and with None every thread may."""
+
+    def __init__(self, jobs, side=None):
+        self.jobs = iter(jobs)
+        self.side = side
+        self.caller = threading.current_thread()
+        self.takers = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        thread = threading.current_thread()
+        if self.side is not None and (thread is self.caller) != (self.side == "caller"):
+            raise StopIteration
+        job = next(self.jobs)
+        self.takers.append(thread)
+        return job
 
 
 @pytest.fixture

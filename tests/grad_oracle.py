@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from tape_oracle import mul
-from wogma.autodiff import EXTENDED, DTensor, Tape, reduce_sum
+from tape_oracle import mul, sum_all
+from wogma.autodiff import EXTENDED, DTensor, Tape
 from wogma.errors import NumericalError
 
 
@@ -48,7 +48,7 @@ def grad_check(fn: Callable[..., DTensor], inputs: Sequence[np.ndarray], h: floa
     with Tape() as tape:
         out = fn(*tensors)
         probe = np.random.default_rng(seed).standard_normal(out.values.shape)
-        loss = reduce_sum(mul(out, DTensor(probe)))
+        loss = sum_all(mul(out, DTensor(probe)))
     tape.backward(loss)
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.values) for t in tensors]
 

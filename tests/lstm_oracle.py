@@ -10,7 +10,7 @@ another video's terms.
 
 import numpy as np
 
-from tape_oracle import lstm_cell, mul, slice_rows, softmax, stack_rows
+from tape_oracle import lstm_cell, mul, slice_rows, softmax, stack_rows, sum_all
 from wogma import autodiff as ad
 from wogma.autodiff import DTensor
 
@@ -39,7 +39,7 @@ def per_step_node(x, w_ih, w_hh, b, w_a, b_a):
     def pull(g):
         copies = [DTensor(t.values, requires_grad=t.requires_grad) for t in inputs]
         with ad.Tape() as tape:
-            loss = ad.reduce_sum(mul(per_step_timeline(*copies), DTensor(g)))
+            loss = sum_all(mul(per_step_timeline(*copies), DTensor(g)))
         tape.backward(loss)
         for t, copy in zip(inputs, copies):
             if t.requires_grad:

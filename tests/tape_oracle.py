@@ -1,9 +1,10 @@
 """Taped primitives that only the test oracles compose.
 
-The elementwise product, tanh, softmax, a masked sigmoid, row slicing, row
-stacking and the per-step LSTM cell: lstm_oracle.py builds the per-step form
-of ad.lstm_timeline from them, tiled_oracle.py stacks its clip windows with
-stack_rows, grad_oracle.py projects outputs onto a probe with mul, and
+The elementwise product, the whole-tensor sum, tanh, softmax, a masked
+sigmoid, row slicing, row stacking and the per-step LSTM cell: lstm_oracle.py
+builds the per-step form of ad.lstm_timeline from them, tiled_oracle.py
+stacks its clip windows with stack_rows, grad_oracle.py projects outputs
+onto a probe with mul and sum_all, and
 criterion 1 checks the gradients of tanh, softmax and lstm_cell. softmax
 runs ad._softmax_vals, the kernel of ad.lstm_timeline's head, so the
 per-step form can equal the one-node timeline bitwise. The gates' sigmoid
@@ -83,6 +84,19 @@ def scale(x, k: float) -> DTensor:
     return out
 
 
+def sum_all(x) -> DTensor:
+    """The sum of all entries of x, as a () tensor."""
+    x = ad._as_tensor(x)
+    out = DTensor(x.values.sum(), requires_grad=ad._needs(x))
+
+    def pull(g: np.ndarray) -> None:
+        if x.requires_grad:
+            x.ensure_grad()[...] += g
+
+    ad._record(out, pull)
+    return out
+
+
 def add_const(x, k: float) -> DTensor:
     x = ad._as_tensor(x)
     out = DTensor(x.values + k, requires_grad=ad._needs(x))
@@ -149,7 +163,7 @@ def two_term_binary_cross_entropy(probs, labels) -> DTensor:
     log_not_p = log(clip_min(chain_one_minus(probs), PROB_EPS))
     pos = mul(DTensor(y), log_p)
     neg = mul(DTensor(1.0 - y), log_not_p)
-    return scale(ad.reduce_sum(ad.add(pos, neg)), -1.0)
+    return scale(sum_all(ad.add(pos, neg)), -1.0)
 
 
 def tanh(x) -> DTensor:
@@ -213,8 +227,9 @@ def lstm_cell(h_prev, c_prev, f, w_ih, w_hh, b) -> tuple[DTensor, DTensor]:
     f: (C_f,), h_prev/c_prev: (H,), w_ih: (C_f, 4H), w_hh: (H, 4H), b: (4H,).
     Gate layout along the 4H axis: input, forget, candidate, output.
     Returns (h, c); h is bounded in (-1, 1) by construction.
-    ad.lstm_step_values runs the same operations in the same order on plain
-    arrays, and ad.lstm_timeline runs a whole sequence of steps as one node.
+    ad.lstm_timeline runs the same operations in the same order on plain
+    arrays, the cell after the two products through ad.lstm_cell_values, and
+    records a whole sequence of steps as one node.
     """
     hidden = ad._as_tensor(h_prev).values.shape[0]
     z = ad.add(ad.affine(f, w_ih, b), ad.linear(h_prev, w_hh))

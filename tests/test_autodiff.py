@@ -15,10 +15,11 @@ from wogma.cpgb import PROB_EPS
 from wogma.errors import NumericalError
 from wogma.oamb import OnlineBranch
 import grad_oracle
+from conftest import JobsTakenBy
 from grad_oracle import grad_check
 from lstm_oracle import per_step_node, per_step_timeline
 from tape_oracle import (add_const, chain_neg_log, chain_one_minus, lstm_cell,
-                         masked_sigmoid_vals, mul, scale, softmax, tanh)
+                         masked_sigmoid_vals, mul, scale, softmax, sum_all, tanh)
 from tiled_oracle import collapse_window, graph_apply
 
 
@@ -233,7 +234,7 @@ def run_videos(timeline, arrays, xs, probes, frozen=()):
         x = DTensor(x.copy(), requires_grad=0 not in frozen)
         with Tape() as tape:
             out = timeline(x, *weights)
-            loss = ad.reduce_sum(mul(out, DTensor(probe)))
+            loss = sum_all(mul(out, DTensor(probe)))
         tape.backward(loss)
         results += [out.values, x.grad]
     return results + [w.grad for w in weights]
@@ -336,27 +337,29 @@ SPLITS = {"default-split": None, "all-on-worker": "worker", "all-on-caller": "ca
 def test_gradient_bits_do_not_depend_on_the_block_split(side, monkeypatch):
     monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1)   # one gradient row per block
     add_outer_sums = ad._add_outer_sums
-    splits = []
+    takers = []
 
-    def resplit(worker_jobs, own_jobs):
-        jobs = worker_jobs + own_jobs
-        splits.append((len(worker_jobs), len(own_jobs)))
-        if side is not None:
-            worker_jobs, own_jobs = (jobs, []) if side == "worker" else ([], jobs)
-        add_outer_sums(worker_jobs, own_jobs)
+    def resplit(jobs):
+        routed = JobsTakenBy(jobs, side)
+        add_outer_sums(routed)
+        takers.append(routed.takers)
 
     monkeypatch.setattr(ad, "_add_outer_sums", resplit)
     arrays, xs, probes = video_inputs(41, 17)
     fused = run_videos(ad.lstm_timeline, arrays, xs, probes)
-    # 6 w_hh rows, 5 w_ih rows and 6 w_a rows, half of them on the worker
-    assert splits == [(8, 9), (8, 9)]
+    # 6 w_hh rows, 5 w_ih rows and 6 w_a rows, each block taken once
+    assert [len(taken) for taken in takers] == [17, 17]
+    if side is not None:
+        caller = threading.current_thread()
+        assert all((t is caller) == (side == "caller") for taken in takers for t in taken)
     assert_same_bits(fused, run_videos(per_step_node, arrays, xs, probes))
 
 
 def test_free_running_follower_keeps_bits_under_fast_switching(monkeypatch):
-    # the follower, the worker thread that adds half of the row blocks, runs
-    # free beside the caller while the interpreter switches between them
-    # every microsecond; a block added twice, or not at all, shows in the bits
+    # the follower, the worker thread that takes row blocks from the
+    # caller's iterator, runs free beside the caller while the interpreter
+    # switches between them every microsecond; a block added twice, or not
+    # at all, shows in the bits
     monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1)   # one gradient row per block
     arrays, xs, probes = video_inputs(45, 40)
     expected = run_videos(per_step_node, arrays, xs, probes)
@@ -385,18 +388,13 @@ class _FailingGrad:
 
 
 def run_with_failing_block(side, monkeypatch):
-    """Backward with one more job, whose += raises, on the given side of the
-    split; returns the failing block."""
+    """Backward with one more job, whose += raises, and every job taken by
+    the given side; returns the failing block."""
     add_outer_sums = ad._add_outer_sums
     failing = _FailingGrad()
 
-    def with_failing_job(worker_jobs, own_jobs):
-        job = [(failing, np.ones((2, 1)), np.ones((2, 1)))]
-        if side == "worker":
-            worker_jobs = worker_jobs + job
-        else:
-            own_jobs = own_jobs + job
-        add_outer_sums(worker_jobs, own_jobs)
+    def with_failing_job(jobs):
+        add_outer_sums(JobsTakenBy(jobs + [(failing, np.ones((2, 1)), np.ones((2, 1)))], side))
 
     monkeypatch.setattr(ad, "_add_outer_sums", with_failing_job)
     arrays, xs, probes = video_inputs(43, 9, videos=1)
@@ -406,8 +404,8 @@ def run_with_failing_block(side, monkeypatch):
 
 
 def test_follower_error_is_raised_by_backward(monkeypatch):
-    # an error in the follower's half is raised by Tape.backward, and the
-    # follower is joined before it is
+    # an error in a block the follower took is raised by Tape.backward, and
+    # the follower is joined before it is
     failing = run_with_failing_block("worker", monkeypatch)
     assert failing.thread is not threading.current_thread()
     assert not lstm_threads()
@@ -470,7 +468,7 @@ def projected_on_tape(fn, x, probe):
     with Tape() as tape:
         out = fn(t)
         nodes = len(tape)
-        loss = ad.reduce_sum(mul(out, DTensor(np.array(probe))))
+        loss = sum_all(mul(out, DTensor(np.array(probe))))
     tape.backward(loss)
     return out.values, t.grad, nodes
 
@@ -518,7 +516,7 @@ def test_fanout_accumulates_gradients():
     with Tape() as tape:
         doubled = scale(x, 2.0)
         tripled = scale(x, 3.0)
-        loss = ad.reduce_sum(ad.add(doubled, tripled))
+        loss = sum_all(ad.add(doubled, tripled))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full(3, 5.0))
 
@@ -527,7 +525,7 @@ def test_dead_branch_is_skipped():
     x = DTensor(np.array([1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
         unused = scale(x, 10.0)  # noqa: F841 - intentionally dead
-        loss = ad.reduce_sum(scale(x, 2.0))
+        loss = sum_all(scale(x, 2.0))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.full(2, 2.0))
 
@@ -569,12 +567,23 @@ def test_zero_grad_drops_the_buffer():
     np.testing.assert_array_equal(flat, np.full(5, 2.0))
 
 
+def test_reduce_sum_along_an_axis_gradient():
+    x = np.random.default_rng(8).standard_normal((3, 4, 2))
+    assert grad_check(lambda t: ad.reduce_sum(t, axis=1), [x]) < 1e-6
+
+
+def test_reduce_sum_needs_an_axis():
+    # a whole-tensor sum is the test oracle's sum_all
+    with pytest.raises(TypeError):
+        ad.reduce_sum(DTensor(np.ones(3)))
+
+
 def test_take_entries_scatter_adds_on_duplicate_rows():
     x = DTensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
     rows = np.array([1, 1])
     cols = np.array([0, 0])
     with Tape() as tape:
-        loss = ad.reduce_sum(ad.take_entries(x, rows, cols))
+        loss = sum_all(ad.take_entries(x, rows, cols))
     tape.backward(loss)
     expected = np.zeros((3, 2))
     expected[1, 0] = 2.0

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from wogma import cli, plots
 from wogma.dataset import SynthParams, save_sequences, synthesize
 from wogma.config import RunConfig, TrainConfig
 from wogma.model import ActionDetector
+from wogma.oamb import extract_instances, stream_record
 from wogma.trainer import save_checkpoint
 
 FAST_CONFIG = {
@@ -816,3 +819,270 @@ def test_checkpoint_with_ablate_longrange_exits_two(tmp_path, monkeypatch, capsy
 def test_checkpoint_with_a_network_shape_key_exits_two(tmp_path, monkeypatch, capsys, key, value):
     assert detect_with_old_config_key(tmp_path, monkeypatch, key, value) == 2
     assert f"bad config: unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# detect --stdin: the reader thread
+# ---------------------------------------------------------------------------
+
+def reader_threads():
+    return [t for t in threading.enumerate() if t.name == cli.READER_THREAD]
+
+
+def sequential_detect(model, lines, threshold):
+    """stdout and instances.json of `detect --stdin` on `lines`, made on
+    this thread one clip after another with the online branch's step."""
+    branch = model.online_branch
+    state = branch.initial_state()
+    records, rows = [], []
+    for line in lines:
+        clip = np.asarray(json.loads(line)["frames"], dtype=np.float64)
+        feature = model.features(clip[None]).values[0]
+        state, probs = branch.online_step(state, branch.input_half(feature),
+                                          branch.recurrent_half(state))
+        rows.append(probs)
+        records.append(json.dumps(stream_record(state.clips_seen, model.windowing, probs)) + "\n")
+    instances = [{"video_id": "stdin", "start_frame": inst.start_frame,
+                  "end_frame": inst.end_frame, "score": inst.score, "class": 1}
+                 for inst in extract_instances(np.stack(rows), threshold, model.windowing)]
+    return "".join(records), json.dumps(instances, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("transport", ["string-io", "pipe"])
+@pytest.mark.parametrize("hidden", [8, 256])
+def test_detect_stdin_equals_a_sequential_step_loop_bytewise(tmp_path, monkeypatch, capsys,
+                                                            hidden, transport):
+    # a backlogged stdin: the reader may run ahead of no record, and the
+    # bytes are those of one thread stepping clip after clip
+    config = TrainConfig(**{**FAST_CONFIG, "hidden": hidden})
+    model = ActionDetector(config)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, model, epoch=0)
+    rng = np.random.default_rng(hidden)
+    lines = [stdin_clip_line(config, rng) for _ in range(24)]
+    action = [json.loads(r)["probs"][1]
+              for r in sequential_detect(model, lines, 0.5)[0].splitlines()]
+    threshold = float(np.median(action))
+    expected = sequential_detect(model, lines, threshold)
+    argv = ["detect", "--checkpoint", str(checkpoint), "--stdin", "--out-dir", str(tmp_path),
+            "--instance-threshold", repr(threshold)]
+    if transport == "pipe":
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-m", "wogma.cli", *argv], input="".join(lines),
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(lines)))
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert not reader_threads()
+    assert out == expected[0]
+    assert (tmp_path / "instances.json").read_text() == expected[1]
+    assert json.loads(expected[1])
+
+
+def test_detect_stdin_bytes_hold_under_fast_switching(tmp_path, monkeypatch, capsys):
+    # the interpreter switches between the reader and the main thread every
+    # microsecond; a clip taken twice, out of order or with a stale
+    # recurrent half shows in the bytes
+    config = TrainConfig(**FAST_CONFIG)
+    model = ActionDetector(config)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, model, epoch=0)
+    rng = np.random.default_rng(9)
+    lines = [stdin_clip_line(config, rng) for _ in range(12)]
+    expected = sequential_detect(model, lines, 0.5)[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 2.0
+        runs = 0
+        while runs < 3 or (runs < 20 and time.monotonic() < deadline):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("".join(lines)))
+            assert run_cli(["detect", "--checkpoint", checkpoint, "--stdin",
+                            "--out-dir", tmp_path]) == 0
+            assert capsys.readouterr().out == expected
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert not reader_threads()
+
+
+def test_detect_stdin_runs_one_reader_thread(tmp_path, monkeypatch, capsys):
+    config = TrainConfig(**FAST_CONFIG)
+    rng = np.random.default_rng(1)
+    read_clips = cli._read_clips
+    readers = []
+
+    def noting_reader(*args):
+        readers.append(threading.current_thread())
+        read_clips(*args)
+
+    monkeypatch.setattr(cli, "_read_clips", noting_reader)
+    assert run_detect_stdin(tmp_path, monkeypatch, [stdin_clip_line(config, rng)] * 5) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(readers) == 1
+    assert readers[0].name == cli.READER_THREAD
+    assert readers[0] is not threading.current_thread()
+    assert not reader_threads()
+
+
+class SlowStdout(io.StringIO):
+    """A stdout whose writes take a while and release the GIL meanwhile, as
+    a write to a full pipe does."""
+
+    def write(self, text):
+        time.sleep(0.002)
+        return super().write(text)
+
+
+class WatchedStdin:
+    """A backlogged stdin that notes, at each readline, how many records
+    `stdout` holds."""
+
+    def __init__(self, lines, stdout):
+        self.lines = list(lines)
+        self.stdout = stdout
+        self.records_at_read = []
+
+    def readline(self):
+        self.records_at_read.append(self.stdout.getvalue().count("\n"))
+        return self.lines.pop(0) if self.lines else ""
+
+
+def test_detect_stdin_reads_a_line_only_after_the_record_before_it(tmp_path, monkeypatch):
+    # the closed-loop contract: even with every line waiting, line i is
+    # read once record i-1 is written, so a latency runs from read to write
+    config = TrainConfig(**FAST_CONFIG)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(config), epoch=0)
+    rng = np.random.default_rng(8)
+    stdout = SlowStdout()
+    stdin = WatchedStdin([stdin_clip_line(config, rng) for _ in range(6)], stdout)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli(["detect", "--checkpoint", checkpoint, "--stdin", "--out-dir", tmp_path]) == 0
+    assert stdin.records_at_read == list(range(7))
+
+
+def test_detect_stdin_malformed_line_writes_the_records_before_it(tmp_path, monkeypatch,
+                                                                    capsys):
+    config = TrainConfig(**FAST_CONFIG)
+    rng = np.random.default_rng(2)
+    lines = [stdin_clip_line(config, rng), "\n", stdin_clip_line(config, rng), "{oops\n",
+             stdin_clip_line(config, rng)]
+    assert run_detect_stdin(tmp_path, monkeypatch, lines) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(l)["clip"] for l in out.splitlines()] == [1, 2]
+    assert "data error: bad clip line 4: " in err
+    assert not (tmp_path / "instances.json").exists()
+    assert not reader_threads()
+
+
+def test_detect_stdin_non_finite_weight_leaves_no_reader(tmp_path, monkeypatch, capsys):
+    config = TrainConfig(**FAST_CONFIG)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO(stdin_clip_line(config, np.random.default_rng(3)) * 3))
+    assert run_cli(["detect", "--checkpoint", nan_weight_checkpoint(tmp_path), "--stdin",
+                    "--out-dir", tmp_path / "out"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numeric failure: clip 1: " in err
+    assert not reader_threads()
+
+
+class ClosingStdout(io.StringIO):
+    """A stdout whose reader leaves after `kept` writes."""
+
+    def __init__(self, kept):
+        super().__init__()
+        self.kept = kept
+
+    def write(self, text):
+        if self.kept == 0:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.kept -= 1
+        return super().write(text)
+
+
+def test_detect_stdin_closed_stdout_exits_four(tmp_path, monkeypatch, capsys):
+    config = TrainConfig(**FAST_CONFIG)
+    rng = np.random.default_rng(4)
+    stdout = ClosingStdout(kept=2)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_detect_stdin(tmp_path, monkeypatch,
+                            [stdin_clip_line(config, rng) for _ in range(5)]) == 4
+    assert [json.loads(l)["clip"] for l in stdout.getvalue().splitlines()] == [1, 2]
+    assert "error: stdout was closed before the command finished" in capsys.readouterr().err
+    assert not (tmp_path / "instances.json").exists()
+    assert not reader_threads()
+
+
+def test_detect_stdin_closed_stdout_pipe_exits_four(tmp_path):
+    config = TrainConfig(**FAST_CONFIG)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(config), epoch=0)
+    rng = np.random.default_rng(5)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wogma.cli", "detect", "--checkpoint", str(checkpoint),
+         "--stdin", "--out-dir", str(tmp_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env)
+    try:
+        proc.stdin.write(stdin_clip_line(config, rng))
+        proc.stdin.flush()
+        assert json.loads(proc.stdout.readline())["clip"] == 1
+        proc.stdout.close()
+        proc.stdin.write(stdin_clip_line(config, rng))
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 4
+        assert proc.stderr.read() == "error: stdout was closed before the command finished\n"
+    finally:
+        proc.kill()
+    assert not (tmp_path / "instances.json").exists()
+
+
+def test_detect_stdin_eof_after_the_first_record(tmp_path, monkeypatch, capsys):
+    config = TrainConfig(**FAST_CONFIG)
+    assert run_detect_stdin(tmp_path, monkeypatch,
+                            [stdin_clip_line(config, np.random.default_rng(6))]) == 0
+    assert [json.loads(l)["clip"] for l in capsys.readouterr().out.splitlines()] == [1]
+    assert isinstance(json.loads((tmp_path / "instances.json").read_text()), list)
+    assert not reader_threads()
+
+
+def test_detect_stdin_empty_input_writes_no_record(tmp_path, monkeypatch, capsys):
+    assert run_detect_stdin(tmp_path, monkeypatch, []) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "instances.json").read_text() == "[]\n"
+    assert not reader_threads()
+
+
+RECORD_KEYS = {"clip", "start_frame", "end_frame", "probs"}
+
+
+@pytest.mark.parametrize("latency", [False, True], ids=["default", "latency"])
+@pytest.mark.parametrize("source", ["stdin", "data"])
+def test_detect_latency_flag_adds_latency_us(tmp_path, monkeypatch, capsys, source, latency):
+    config = TrainConfig(**FAST_CONFIG)
+    checkpoint = tmp_path / "ck.bin"
+    save_checkpoint(checkpoint, ActionDetector(config), epoch=0)
+    data = tmp_path / "d.jsonl"
+    write_dataset(data, n_videos=2)
+    rng = np.random.default_rng(7)
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("".join(stdin_clip_line(config, rng) for _ in range(3))))
+    flags = ["--stdin"] if source == "stdin" else ["--data", data]
+    assert run_cli(["detect", "--checkpoint", checkpoint, *flags, "--out-dir", tmp_path,
+                    *(["--latency"] if latency else [])]) == 0
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    keys = RECORD_KEYS | ({"latency_us"} if latency else set()) | (
+        {"video_id"} if source == "data" else set())
+    assert len(records) == (3 if source == "stdin" else 12)
+    assert all(set(record) == keys for record in records)
+    if latency:
+        assert all(isinstance(r["latency_us"], float) and r["latency_us"] > 0 for r in records)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from wogma.autodiff import DTensor, Tape
 from wogma.cpgb import PROB_EPS
 from wogma.lfem import ClipWindowing
 from grad_oracle import grad_check
+from conftest import micro_clips, micro_model
 from tape_oracle import chain_frame_loss, softmax
 
 
@@ -74,8 +76,21 @@ def test_state_advances_once_per_clip():
     branch = make_branch()
     state = branch.initial_state()
     assert state.clips_seen == 0
-    state, _ = branch.online_step(state, np.zeros(5))
+    state, _ = branch.online_step(state, branch.input_half(np.zeros(5)),
+                                  branch.recurrent_half(state))
     assert state.clips_seen == 1
+
+
+def test_stream_and_infer_timeline_start_no_thread(monkeypatch):
+    # only `detect --stdin` splits a step across threads
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name!r} started")
+
+    model = micro_model()
+    clips = micro_clips(model=model)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert model.infer_timeline(clips).shape == (3, 2)
+    assert make_branch().stream(np.zeros((4, 5))).shape == (4, 2)
 
 
 def test_frame_loss_one_hot_match_is_zero():

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adam_oracle import PerParameterAdam
-from conftest import (checkpoint_field_ranges, corrupt_saved_checkpoint, micro_clips,
-                      micro_config, micro_model, parameter_count)
+from conftest import (JobsTakenBy, checkpoint_field_ranges, corrupt_saved_checkpoint,
+                      micro_clips, micro_config, micro_model, parameter_count)
 from lstm_oracle import per_step_timeline
 from wogma import autodiff as ad
 from wogma import trainer as tr
@@ -221,15 +221,15 @@ def test_one_node_timeline_keeps_training_trajectory(tmp_path, small_training_co
 
 
 def test_follower_keeps_training_bitwise(tmp_path, small_training_config, monkeypatch):
-    # every block of one gradient row on the follower, the worker thread of
-    # lstm_timeline's weight-gradient sums, against the default blocks and
-    # split; no follower outlives its backward pass
+    # every block of one gradient row taken by the follower, the worker
+    # thread of lstm_timeline's weight-gradient sums, against the default
+    # blocks shared by both threads; no follower outlives its backward pass
     data = small_dataset()
     default = train_digests(tmp_path, "default", data, small_training_config)
     add_outer_sums = ad._add_outer_sums
     monkeypatch.setattr(ad, "OUTER_BLOCK_BYTES", 1)
     monkeypatch.setattr(ad, "_add_outer_sums",
-                        lambda worker_jobs, own_jobs: add_outer_sums(worker_jobs + own_jobs, []))
+                        lambda jobs: add_outer_sums(JobsTakenBy(jobs, "worker")))
     assert train_digests(tmp_path, "worker", data, small_training_config) == default
     assert not [t for t in threading.enumerate() if t.name == "lstm-outer-sums"]
 
